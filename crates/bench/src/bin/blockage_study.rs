@@ -5,7 +5,16 @@
 //! `--smoke` runs the small fixed CI sweep (deterministic summary on
 //! stdout); otherwise the positional arguments are blocker densities
 //! (default 0 25 50 100). Either mode writes the `BENCH_blockage.json`
-//! artifact to `--json PATH`.
+//! artifact to `--json PATH`. Exits with code 1, printing no metrics,
+//! when any fleet ran out of its event budget.
+
+fn exit_if_truncated(study: &st_bench::blockage_study::BlockageStudy) {
+    if let Err(e) = study.check_budgets() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let mut smoke = false;
     let mut workers = std::thread::available_parallelism()
@@ -35,6 +44,7 @@ fn main() {
     }
     if smoke {
         let (summary, study) = st_bench::blockage_study::smoke(workers);
+        exit_if_truncated(&study);
         print!("{summary}");
         if let Err(e) = st_bench::blockage_study::write_bench_json(&json_path, &study, "smoke") {
             eprintln!("warning: could not write {json_path}: {e}");
@@ -45,6 +55,7 @@ fn main() {
         densities = vec![0, 25, 50, 100];
     }
     let r = st_bench::blockage_study::run(&densities, 42, workers, ues);
+    exit_if_truncated(&r);
     println!("{}", st_bench::blockage_study::render(&r));
     if let Err(e) = st_bench::blockage_study::write_bench_json(&json_path, &r, "sweep") {
         eprintln!("warning: could not write {json_path}: {e}");

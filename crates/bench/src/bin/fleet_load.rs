@@ -50,6 +50,17 @@
 //! artifact. Scale arms print their deterministic aggregate summaries
 //! to stdout (no wall-clock), so CI byte-compares two worker counts the
 //! same way it compares `--smoke` runs.
+//!
+//! Live runs exit with code 1, printing no metrics, when any fleet ran
+//! out of its event budget.
+
+fn exit_if_truncated(load: &st_bench::fleet_load::FleetLoad) {
+    if let Err(e) = load.check_budgets() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let mut smoke = false;
     let mut exact = false;
@@ -198,6 +209,7 @@ fn main() {
     if smoke {
         let (summary, mut load) =
             st_bench::fleet_load::smoke_timed_obs(workers, exact, record, snapshot_s);
+        exit_if_truncated(&load);
         print!("{summary}");
         if explain_top > 0 {
             print!("{}", st_bench::fleet_load::explain_top(&load, explain_top));
@@ -255,6 +267,7 @@ fn main() {
             42,
         ));
     }
+    exit_if_truncated(&r);
     save_trace(&r);
     save_timeline(&r);
     save_causes(&r);

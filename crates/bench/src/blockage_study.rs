@@ -74,6 +74,18 @@ fn deployment(density: u32, protocol: ProtocolKind, seed: u64, ues: u32) -> Flee
         .expect("valid blockage deployment")
 }
 
+impl BlockageStudy {
+    /// [`crate::check_budgets`] over every (density, arm) point.
+    pub fn check_budgets(&self) -> Result<(), String> {
+        crate::check_budgets(self.arms.iter().map(|a| {
+            (
+                format!("{} blockers {}", a.blockers, arm_label(a.protocol)),
+                &a.outcome,
+            )
+        }))
+    }
+}
+
 pub fn run(densities: &[u32], seed: u64, workers: usize, ues: u32) -> BlockageStudy {
     let mut arms = Vec::new();
     for &blockers in densities {
@@ -302,5 +314,24 @@ mod tests {
         assert_eq!(clear.blockers, 0);
         // The blocked fleets actually ran the occlusion path.
         assert!(r.arms[2].outcome.totals.events > 0);
+        assert_eq!(r.check_budgets(), Ok(()));
+    }
+
+    #[test]
+    fn exhausted_event_budget_is_an_error() {
+        let mut cfg = deployment(16, ProtocolKind::Reactive, 3, 8);
+        cfg.event_budget = 64;
+        let outcome = run_fleet_with_workers(&cfg, 2);
+        assert!(outcome.totals.budget_exhausted_shards > 0);
+        let study = BlockageStudy {
+            arms: vec![DensityArm {
+                blockers: 16,
+                protocol: ProtocolKind::Reactive,
+                outcome,
+                wall_s: 0.0,
+            }],
+        };
+        let err = study.check_budgets().unwrap_err();
+        assert!(err.contains("16 blockers reactive"), "{err}");
     }
 }

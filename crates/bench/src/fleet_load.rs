@@ -44,6 +44,18 @@ pub struct Arm {
     pub trace: Option<RunTrace>,
 }
 
+impl FleetLoad {
+    /// [`crate::check_budgets`] over every arm.
+    pub fn check_budgets(&self) -> Result<(), String> {
+        crate::check_budgets(self.arms.iter().map(|a| {
+            (
+                format!("{}-{}-{}", a.ues, arm_label(a.protocol), a.sharding),
+                &a.outcome,
+            )
+        }))
+    }
+}
+
 impl Arm {
     /// UE-seconds of simulated radio time delivered per wall-clock
     /// second — the fleet engine's headline throughput figure.
@@ -710,6 +722,29 @@ mod tests {
     #[test]
     fn smoke_is_worker_invariant() {
         assert_eq!(smoke(1, false), smoke(4, false));
+    }
+
+    #[test]
+    fn exhausted_event_budget_is_an_error() {
+        let (_, load) = smoke_timed(2, true, false);
+        assert_eq!(load.check_budgets(), Ok(()));
+        let mut cfg = smoke_config(true);
+        cfg.event_budget = 64;
+        let outcome = run_fleet_with_workers(&cfg, 2);
+        assert!(outcome.totals.budget_exhausted_shards > 0);
+        let truncated = FleetLoad {
+            arms: vec![Arm {
+                ues: cfg.n_ues(),
+                protocol: ProtocolKind::SilentTracker,
+                sharding: sharding_label(&cfg),
+                outcome,
+                wall_s: 0.0,
+                trace: None,
+            }],
+            replay: Vec::new(),
+        };
+        let err = truncated.check_budgets().unwrap_err();
+        assert!(err.contains("48-silent-round-robin"), "{err}");
     }
 
     #[test]

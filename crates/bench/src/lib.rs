@@ -28,3 +28,31 @@ pub mod patterns;
 pub mod resource;
 pub mod robustness;
 pub mod runner;
+
+use st_fleet::FleetOutcome;
+
+/// Refuse truncated results: `Err` names every labelled fleet whose
+/// shards ran out of their DES event budget — its metrics would cover
+/// only part of the run.
+pub fn check_budgets<'a>(
+    fleets: impl IntoIterator<Item = (String, &'a FleetOutcome)>,
+) -> Result<(), String> {
+    let exhausted: Vec<String> = fleets
+        .into_iter()
+        .filter(|(_, out)| out.totals.budget_exhausted_shards > 0)
+        .map(|(label, out)| {
+            format!(
+                "{label} ({} shards out of event budget)",
+                out.totals.budget_exhausted_shards
+            )
+        })
+        .collect();
+    if exhausted.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "truncated runs, metrics withheld: {}",
+            exhausted.join(", ")
+        ))
+    }
+}

@@ -102,12 +102,6 @@ impl Blocker {
         self.model.pose_at(t_s)
     }
 
-    /// Instantaneous trajectory speed (used by the spatial cull to pad
-    /// bucket bounding boxes conservatively).
-    pub fn speed_at(&self, t_s: f64) -> f64 {
-        self.model.speed_at(t_s)
-    }
-
     /// The blocking segment at scenario time `t_s`.
     pub fn segment_at(&self, t_s: f64) -> Segment {
         let pose = self.model.pose_at(t_s);

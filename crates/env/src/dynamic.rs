@@ -6,23 +6,27 @@
 //! 1. trace the link once per (instant, position) into its reusable
 //!    [`PathSet`] against the *static* walls ([`DynamicEnvironment::statics`]);
 //! 2. call [`DynamicEnvironment::occlude`] on the snapshot — every ray
-//!    leg is tested against the blockers active at that instant and
-//!    knife-edge losses are folded into the sample gains in place.
+//!    leg is tested against the blockers near the link at that instant
+//!    and knife-edge losses are folded into the sample gains in place.
 //!
-//! The pass is zero-allocation in steady state (the candidate scratch is
-//! caller-owned and pre-sized to the blocker count), consumes no RNG
+//! The pass is zero-allocation in steady state (the frame scratch is
+//! caller-owned and sized once to the blocker count), consumes no RNG
 //! draws, and is a pure function of time — so occluded runs remain
 //! bit-identical across shard and worker counts.
 //!
-//! ## The time-indexed spatial cull
+//! ## The per-instant frame
 //!
-//! Testing every ray against every blocker would cost `rays × blockers`
-//! segment intersections per snapshot; with crowds of 100+ that dominates
-//! the hot path. Instead the constructor precomputes, per coarse time
-//! bucket, a conservative axis-aligned bounding box of each blocker's
-//! swept segment over that bucket. A query gathers only the blockers
-//! whose bucket box overlaps the link's ray bounding box — typically a
-//! handful — and only those are intersection-tested per ray.
+//! A fleet measures many links at one instant (every UE of a shard at an
+//! SSB burst), and every one of them sees the same blocker positions.
+//! The caller-owned [`OcclusionScratch`] is therefore a *frame*: the
+//! first `occlude` at a new instant places every blocker once — its
+//! segment, bounding box and loss cap — and every later call at the same
+//! instant only filters the frame against its link's ray hull. The frame
+//! is keyed on the environment's identity and the bits of the instant,
+//! so a scratch shared across environments or instants never serves a
+//! stale placement.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use st_phy::channel::{Environment, PathSet};
 use st_phy::geometry::{Segment, Vec2};
@@ -39,17 +43,10 @@ struct Aabb {
 }
 
 impl Aabb {
-    fn of_points(points: impl IntoIterator<Item = Vec2>) -> Option<Aabb> {
-        let mut it = points.into_iter();
-        let first = it.next()?;
-        let mut bb = Aabb {
-            min: first,
-            max: first,
-        };
-        for p in it {
-            bb.grow(p);
-        }
-        Some(bb)
+    fn of_segment(s: Segment) -> Aabb {
+        let mut bb = Aabb { min: s.a, max: s.a };
+        bb.grow(s.b);
+        bb
     }
 
     fn grow(&mut self, p: Vec2) {
@@ -72,60 +69,59 @@ impl Aabb {
             && self.min.y <= other.max.y
             && other.min.y <= self.max.y
     }
-
-    fn of_segment(s: Segment) -> Aabb {
-        let mut bb = Aabb { min: s.a, max: s.a };
-        bb.grow(s.b);
-        bb
-    }
 }
 
-/// Trajectory sample points per bucket when building the index. The
-/// bucket box covers every sampled segment, padded by the distance a
-/// blocker can travel between samples — conservative for any trajectory
-/// whose speed between samples stays near the sampled speeds.
-const BUCKET_SAMPLES: usize = 5;
-/// Extra padding (metres) absorbing sway/wobble between samples.
-const BUCKET_SLACK_M: f64 = 0.75;
-
-/// One blocker's conservative bounds within one time bucket.
-#[derive(Debug, Clone, Copy)]
-struct BucketEntry {
-    bounds: Aabb,
-    blocker: u32,
-}
-
-/// A blocker placed at the query instant: its exact segment plus its
-/// through-body loss cap, computed once per snapshot and shared by every
-/// ray of the sweep.
+/// A blocker placed at the frame's instant: its exact segment, the
+/// segment's bounding box and its through-body loss cap.
 #[derive(Debug, Clone, Copy)]
 struct Placed {
     seg: Segment,
+    bounds: Aabb,
     cap: Db,
 }
 
-/// Caller-owned scratch for [`DynamicEnvironment::occlude`]: lives beside
-/// the [`PathSet`] it serves (one per `LinkSet`), reused every instant so
-/// steady-state occlusion allocates nothing.
+/// Caller-owned frame for [`DynamicEnvironment::occlude`]: every blocker
+/// placed at one instant of one environment, plus the candidate buffer of
+/// the current query. Whoever owns the instant owns the scratch (a fleet
+/// shard keeps one for all its UEs), so every link measured at that
+/// instant reuses one placement; steady-state occlusion allocates nothing.
 #[derive(Debug, Default)]
 pub struct OcclusionScratch {
-    placed: Vec<Placed>,
+    /// (environment id, `t_s` bits) the frame was placed for.
+    key: Option<(u64, u64)>,
+    frame: Vec<Placed>,
+    candidates: Vec<(Segment, Db)>,
+    occlusions: u64,
+    blockers_placed: u64,
 }
 
 impl OcclusionScratch {
     pub fn new() -> OcclusionScratch {
         OcclusionScratch::default()
     }
+
+    /// Occlusion passes run through this scratch.
+    pub fn occlusions(&self) -> u64 {
+        self.occlusions
+    }
+
+    /// Blockers placed by this scratch's frame builds (frames built ×
+    /// blocker count) — against [`Self::occlusions`], how often a frame
+    /// was reused.
+    pub fn blockers_placed(&self) -> u64 {
+        self.blockers_placed
+    }
 }
 
-/// Static walls + moving blockers + the time-indexed cull.
+/// Source of [`DynamicEnvironment`] identities (frame keys).
+static NEXT_ENV_ID: AtomicU64 = AtomicU64::new(0);
+
+/// Static walls + moving blockers.
 pub struct DynamicEnvironment {
+    id: u64,
     statics: Environment,
     blockers: Vec<Blocker>,
     lambda_m: f64,
-    bucket_s: f64,
-    /// `buckets[k]` covers scenario time `[k·bucket_s, (k+1)·bucket_s)`.
-    buckets: Vec<Vec<BucketEntry>>,
 }
 
 impl std::fmt::Debug for DynamicEnvironment {
@@ -133,71 +129,23 @@ impl std::fmt::Debug for DynamicEnvironment {
         f.debug_struct("DynamicEnvironment")
             .field("walls", &self.statics.walls.len())
             .field("blockers", &self.blockers.len())
-            .field("bucket_s", &self.bucket_s)
-            .field("buckets", &self.buckets.len())
             .finish()
     }
 }
 
 impl DynamicEnvironment {
-    /// Bucket width of the time index, seconds. Coarse on purpose: the
-    /// index only has to cull, not to answer exactly.
-    pub const BUCKET_S: f64 = 0.25;
-
-    /// Build the environment and its cull index covering scenario time
-    /// `[0, horizon_s)`. Queries beyond the horizon stay correct — they
-    /// fall back to testing every blocker — so the horizon is a
-    /// performance knob, not a correctness bound; size it to the
-    /// simulated duration.
     pub fn new(
         statics: Environment,
         blockers: Vec<Blocker>,
         carrier: Carrier,
-        horizon_s: f64,
     ) -> DynamicEnvironment {
-        let bucket_s = Self::BUCKET_S;
-        let n_buckets = if horizon_s > 0.0 {
-            (horizon_s / bucket_s).ceil() as usize
-        } else {
-            0
-        };
-        let mut buckets = Vec::with_capacity(n_buckets);
-        for k in 0..n_buckets {
-            let t0 = k as f64 * bucket_s;
-            let mut entries = Vec::new();
-            for (i, b) in blockers.iter().enumerate() {
-                let mut bounds: Option<Aabb> = None;
-                let mut v_max = 0.0f64;
-                for s in 0..BUCKET_SAMPLES {
-                    let t = t0 + bucket_s * s as f64 / (BUCKET_SAMPLES - 1) as f64;
-                    let seg = b.segment_at(t);
-                    match &mut bounds {
-                        Some(bb) => {
-                            bb.grow(seg.a);
-                            bb.grow(seg.b);
-                        }
-                        None => bounds = Some(Aabb::of_segment(seg)),
-                    }
-                    v_max = v_max.max(b.speed_at(t));
-                }
-                let mut bounds = bounds.expect("BUCKET_SAMPLES > 0");
-                // Between consecutive samples the blocker can stray by at
-                // most roughly v·Δt from the sampled hull.
-                let dt = bucket_s / (BUCKET_SAMPLES - 1) as f64;
-                bounds.pad(v_max * dt + BUCKET_SLACK_M);
-                entries.push(BucketEntry {
-                    bounds,
-                    blocker: i as u32,
-                });
-            }
-            buckets.push(entries);
-        }
         DynamicEnvironment {
+            // Relaxed: the id publishes no other data; only its
+            // uniqueness matters, which the atomic add guarantees.
+            id: NEXT_ENV_ID.fetch_add(1, Ordering::Relaxed),
             statics,
             blockers,
             lambda_m: carrier.wavelength_m(),
-            bucket_s,
-            buckets,
         }
     }
 
@@ -215,58 +163,38 @@ impl DynamicEnvironment {
         &self.blockers
     }
 
-    /// Gather the blockers that could touch `query` at `t_s` into
-    /// `scratch.placed`, segments materialized at the exact instant.
-    fn gather(&self, t_s: f64, query: &Aabb, scratch: &mut OcclusionScratch) {
-        scratch.placed.clear();
-        // One-time reservation: never more candidates than blockers, so
-        // after the first call at full capacity the scratch is stable.
-        if scratch.placed.capacity() < self.blockers.len() {
-            scratch.placed.reserve(self.blockers.len());
+    /// Place every blocker at `t_s` into `scratch`'s frame, in blocker
+    /// order, unless the frame already holds this environment at `t_s`.
+    fn place(&self, t_s: f64, scratch: &mut OcclusionScratch) {
+        let key = Some((self.id, t_s.to_bits()));
+        if scratch.key == key {
+            return;
         }
-        let bucket = if t_s >= 0.0 {
-            self.buckets.get((t_s / self.bucket_s) as usize)
-        } else {
-            None
-        };
-        let mut consider = |i: usize| {
-            let b = &self.blockers[i];
+        scratch.frame.clear();
+        scratch.frame.extend(self.blockers.iter().map(|b| {
             let seg = b.segment_at(t_s);
-            let mut bb = Aabb::of_segment(seg);
-            bb.pad(1e-9);
-            if bb.overlaps(query) {
-                scratch.placed.push(Placed {
-                    seg,
-                    cap: b.shadow_cap(),
-                });
+            let mut bounds = Aabb::of_segment(seg);
+            bounds.pad(1e-9);
+            Placed {
+                seg,
+                bounds,
+                cap: b.shadow_cap(),
             }
-        };
-        match bucket {
-            Some(entries) => {
-                for e in entries {
-                    if e.bounds.overlaps(query) {
-                        consider(e.blocker as usize);
-                    }
-                }
-            }
-            // Outside the indexed horizon: exhaustive (still exact).
-            None => {
-                for i in 0..self.blockers.len() {
-                    consider(i);
-                }
-            }
-        }
+        }));
+        scratch.key = key;
+        scratch.blockers_placed += self.blockers.len() as u64;
     }
 
-    /// Fold the occlusion losses of the blockers active at `t_s` into an
+    /// Fold the occlusion losses of the blockers at `t_s` into an
     /// already-traced snapshot of the link `tx → rx`.
     ///
     /// Every ray is tested leg-by-leg (direct ray: one leg; reflected
-    /// ray: tx→bounce and bounce→rx) against the culled candidate set; a
-    /// crossing adds the knife-edge loss of [`crate::leg_occlusion`]. A
-    /// blocker clear of every leg contributes exactly zero — the sample
-    /// gains stay bit-identical, which is what keeps opt-out scenarios
-    /// (and clear instants of opt-in ones) byte-stable.
+    /// ray: tx→bounce and bounce→rx) against the blockers whose box
+    /// overlaps the ray hull, in blocker order; a crossing adds the
+    /// knife-edge loss of [`crate::leg_occlusion`]. A blocker clear of
+    /// every leg contributes exactly zero — the sample gains stay
+    /// bit-identical, which is what keeps opt-out scenarios (and clear
+    /// instants of opt-in ones) byte-stable.
     pub fn occlude(
         &self,
         t_s: f64,
@@ -275,30 +203,40 @@ impl DynamicEnvironment {
         set: &mut PathSet,
         scratch: &mut OcclusionScratch,
     ) {
+        scratch.occlusions += 1;
         if self.blockers.is_empty() || set.is_empty() {
             return;
         }
+        self.place(t_s, scratch);
         // The ray hull: every leg endpoint is tx, rx or a bounce point.
-        let mut query = Aabb::of_points([tx, rx]).expect("two points");
+        let mut hull = Aabb::of_segment(Segment::new(tx, rx));
         for ray in set.rays() {
             if let Some(v) = ray.via {
-                query.grow(v);
+                hull.grow(v);
             }
         }
-        self.gather(t_s, &query, scratch);
-        if scratch.placed.is_empty() {
+        let OcclusionScratch {
+            frame, candidates, ..
+        } = scratch;
+        candidates.clear();
+        candidates.extend(
+            frame
+                .iter()
+                .filter(|p| p.bounds.overlaps(&hull))
+                .map(|p| (p.seg, p.cap)),
+        );
+        if candidates.is_empty() {
             return;
         }
         let lambda = self.lambda_m;
-        let placed = &scratch.placed;
         set.attenuate(|ray| {
             let mut loss = Db::ZERO;
-            for p in placed {
+            for &(seg, cap) in candidates.iter() {
                 match ray.via {
-                    None => loss += leg_occlusion(tx, rx, p.seg, p.cap, lambda),
+                    None => loss += leg_occlusion(tx, rx, seg, cap, lambda),
                     Some(bounce) => {
-                        loss += leg_occlusion(tx, bounce, p.seg, p.cap, lambda);
-                        loss += leg_occlusion(bounce, rx, p.seg, p.cap, lambda);
+                        loss += leg_occlusion(tx, bounce, seg, cap, lambda);
+                        loss += leg_occlusion(bounce, rx, seg, cap, lambda);
                     }
                 }
             }
@@ -334,51 +272,94 @@ mod tests {
             .with_orientation(Orientation::Fixed(Radians(std::f64::consts::FRAC_PI_2)))
     }
 
+    /// The loss the frame's candidates inflict on the bare direct path
+    /// `tx → rx` at `t_s`, through `scratch`.
+    fn frame_los_loss(
+        env: &DynamicEnvironment,
+        t_s: f64,
+        tx: Vec2,
+        rx: Vec2,
+        scratch: &mut OcclusionScratch,
+    ) -> Db {
+        env.place(t_s, scratch);
+        let hull = Aabb::of_segment(Segment::new(tx, rx));
+        scratch
+            .frame
+            .iter()
+            .filter(|p| p.bounds.overlaps(&hull))
+            .map(|p| leg_occlusion(tx, rx, p.seg, p.cap, env.lambda_m))
+            .fold(Db::ZERO, |a, b| a + b)
+    }
+
     #[test]
-    fn cull_finds_the_blocker_the_exhaustive_path_finds() {
-        // A bus driving down the street crosses the LOS around t ≈ 1.1 s.
+    fn frame_agrees_bit_for_bit_with_los_loss_at_every_instant() {
+        // A bus driving down the street crosses the LOS around t ≈ 1.1 s,
+        // among pedestrians standing clear of and on the link.
         let bus = Blocker::bus(Box::new(Vehicular::paper_vehicular(
             Vec2::new(-20.0, 2.0),
             Radians(0.0),
         )));
-        let indexed = DynamicEnvironment::new(Environment::open(), vec![bus], carrier(), 4.0);
+        let env = DynamicEnvironment::new(
+            Environment::open(),
+            vec![standing_at(30.0, 0.0), bus, standing_at(0.0, 7.0)],
+            carrier(),
+        );
         let (tx, rx) = (Vec2::new(0.0, 10.0), Vec2::new(0.0, -5.0));
+        let mut scratch = OcclusionScratch::new();
         for k in 0..400 {
             let t = k as f64 * 0.01;
-            // `los_loss` is the exhaustive reference; the indexed query
-            // must agree at every instant (the cull may only cull
-            // non-crossers).
-            let want = indexed.los_loss(t, tx, rx);
-            let mut scratch = OcclusionScratch::new();
-            let mut query = Aabb::of_points([tx, rx]).unwrap();
-            query.pad(0.0);
-            indexed.gather(t, &query, &mut scratch);
-            let got: Db = scratch
-                .placed
-                .iter()
-                .map(|p| leg_occlusion(tx, rx, p.seg, p.cap, indexed.lambda_m))
-                .fold(Db::ZERO, |a, b| a + b);
-            assert_eq!(got, want, "t = {t}");
+            // `los_loss` tests every blocker; the frame may only drop
+            // blockers whose box misses the link.
+            let want = env.los_loss(t, tx, rx);
+            assert_eq!(
+                frame_los_loss(&env, t, tx, rx, &mut scratch),
+                want,
+                "t = {t}"
+            );
         }
+        assert_eq!(scratch.blockers_placed(), 400 * 3);
         // And the bus really does cross at some point.
         let peak = (0..400)
-            .map(|k| indexed.los_loss(k as f64 * 0.01, tx, rx).0)
+            .map(|k| env.los_loss(k as f64 * 0.01, tx, rx).0)
             .fold(0.0f64, f64::max);
         assert!(peak > 10.0, "bus never shadowed the link: {peak}");
     }
 
     #[test]
-    fn beyond_horizon_falls_back_to_exhaustive() {
-        let env = DynamicEnvironment::new(
-            Environment::open(),
-            vec![standing_at(5.0, 0.0)],
-            carrier(),
-            1.0,
-        );
-        let mut scratch = OcclusionScratch::new();
-        let query = Aabb::of_points([Vec2::ZERO, Vec2::new(10.0, 0.0)]).unwrap();
-        env.gather(100.0, &query, &mut scratch);
-        assert_eq!(scratch.placed.len(), 1);
+    fn reused_frame_is_never_stale() {
+        let bus = |x: f64, y: f64| {
+            Blocker::bus(Box::new(Vehicular::paper_vehicular(
+                Vec2::new(x, y),
+                Radians(0.0),
+            )))
+        };
+        let a = DynamicEnvironment::new(Environment::open(), vec![bus(-20.0, 2.0)], carrier());
+        let b = DynamicEnvironment::new(Environment::open(), vec![bus(-24.0, -1.0)], carrier());
+        let (tx, rx) = (Vec2::new(0.0, 10.0), Vec2::new(0.0, -5.0));
+        // t: the instant the bus of `a` shadows the link hardest.
+        let t = (0..400)
+            .map(|k| k as f64 * 0.01)
+            .max_by(|&x, &y| a.los_loss(x, tx, rx).0.total_cmp(&a.los_loss(y, tx, rx).0))
+            .unwrap();
+        let t2 = t + 1.5;
+        let fresh = |env: &DynamicEnvironment, t_s: f64| {
+            frame_los_loss(env, t_s, tx, rx, &mut OcclusionScratch::new())
+        };
+        assert!(fresh(&a, t).0 > 10.0, "the bus shadows the link at t");
+        // A stale frame would be caught: every pair of frames differs.
+        assert_ne!(fresh(&a, t), fresh(&b, t));
+        assert_ne!(fresh(&a, t), fresh(&a, t2));
+        assert_ne!(fresh(&b, t), fresh(&b, t2));
+        // One scratch across both environments and the instants t, t', t.
+        let mut shared = OcclusionScratch::new();
+        for (env, t_s) in [(&a, t), (&b, t), (&a, t2), (&a, t), (&b, t2), (&b, t)] {
+            let got = frame_los_loss(env, t_s, tx, rx, &mut shared);
+            assert_eq!(got, fresh(env, t_s), "t = {t_s}");
+        }
+        // Repeating an instant of the same environment reuses the frame.
+        let placed = shared.blockers_placed();
+        frame_los_loss(&b, t, tx, rx, &mut shared);
+        assert_eq!(shared.blockers_placed(), placed);
     }
 
     #[test]
@@ -392,7 +373,6 @@ mod tests {
             walls.clone(),
             vec![standing_at(0.0, 40.0)], // far outside the canyon
             carrier(),
-            2.0,
         );
         let mut rng = StdRng::seed_from_u64(7);
         let mut ch = LinkChannel::new(&mut rng, ChannelConfig::outdoor_60ghz());
@@ -416,8 +396,7 @@ mod tests {
         let walls = Environment::street_canyon(100.0, 20.0);
         // Standing mid-way on the direct path, well clear of the
         // reflection bounce points at y = ±10.
-        let env =
-            DynamicEnvironment::new(walls.clone(), vec![standing_at(0.0, 0.0)], carrier(), 2.0);
+        let env = DynamicEnvironment::new(walls.clone(), vec![standing_at(0.0, 0.0)], carrier());
         let mut rng = StdRng::seed_from_u64(8);
         let mut ch = LinkChannel::new(&mut rng, ChannelConfig::deterministic());
         let (tx, rx) = (Vec2::new(-10.0, 0.0), Vec2::new(10.0, 0.0));

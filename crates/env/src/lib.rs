@@ -15,9 +15,11 @@
 //!   the crossing point sits behind the blocker's nearest edge (and
 //!   capped by through-body absorption).
 //! * [`DynamicEnvironment`] — wraps the static [`st_phy::Environment`]
-//!   (walls) with a blocker set and a coarse time-indexed spatial cull,
-//!   and applies a per-instant occlusion pass over an already-traced
-//!   [`st_phy::channel::PathSet`] with zero steady-state allocation.
+//!   (walls) with a blocker set, and applies a per-instant occlusion
+//!   pass over an already-traced [`st_phy::channel::PathSet`] with zero
+//!   steady-state allocation. The caller-owned [`OcclusionScratch`] is a
+//!   per-instant *frame*: every blocker is placed once per instant, and
+//!   every link measured at that instant reuses the placement.
 //! * [`scenarios`] — an urban scenario library (crowd crossings, bus
 //!   routes, mixed street traffic) built declaratively from a seed.
 //!
@@ -44,7 +46,6 @@
 //!     Environment::open(),
 //!     vec![body],
 //!     st_phy::units::Carrier::MM_WAVE_60GHZ,
-//!     10.0,
 //! );
 //!
 //! let mut rng = StdRng::seed_from_u64(1);

@@ -7,12 +7,14 @@
 //!   `PathSet` is bit-identical to the clear one;
 //! * occlusion is a pure function of time (same instant, same losses),
 //!   which is what makes occluded fleet sweeps deterministic across
-//!   shard and worker counts.
+//!   shard and worker counts;
+//! * a scratch frame reused across links and instants gives exactly what
+//!   a fresh scratch gives — reusing a placement never changes a loss.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng as _;
-use st_env::{Blocker, DynamicEnvironment, OcclusionScratch, Orientation};
+use st_env::{Blocker, BlockerPopulation, DynamicEnvironment, OcclusionScratch, Orientation};
 use st_mobility::{Stationary, Vehicular};
 use st_phy::channel::{ChannelConfig, Environment, LinkChannel, PathSet};
 use st_phy::geometry::{Radians, Vec2};
@@ -30,7 +32,6 @@ fn dynamics(blockers: Vec<Blocker>) -> DynamicEnvironment {
         Environment::street_canyon(200.0, 30.0),
         blockers,
         Carrier::MM_WAVE_60GHZ,
-        4.0,
     )
 }
 
@@ -129,5 +130,43 @@ proptest! {
         for (x, y) in b1.samples().iter().zip(b2.samples()) {
             prop_assert_eq!(x.gain, y.gain);
         }
+    }
+
+    /// One scratch shared by a stream of links at repeating instants (a
+    /// shard's measurement pattern) occludes every snapshot bit-for-bit
+    /// as a fresh scratch does.
+    #[test]
+    fn reused_scratch_equals_fresh_scratch(
+        seed in 0u64..32,
+        times in prop::collection::vec(0.0f64..4.0, 1..4),
+        links in prop::collection::vec(
+            (0usize..4, -90.0f64..90.0, -14.0f64..14.0, -90.0f64..90.0, -14.0f64..14.0),
+            1..24,
+        ),
+    ) {
+        let env = dynamics(
+            BlockerPopulation::new(seed)
+                .crowd(24)
+                .vehicles(3)
+                .buses(1)
+                .materialize(200.0, 30.0),
+        );
+        let mut shared = OcclusionScratch::new();
+        for (k, &(ti, tx_x, tx_y, rx_x, rx_y)) in links.iter().enumerate() {
+            let t_s = times[ti % times.len()];
+            let (tx, rx) = (Vec2::new(tx_x, tx_y), Vec2::new(rx_x, rx_y));
+            let mut rng = StdRng::seed_from_u64(seed ^ k as u64);
+            let mut ch = LinkChannel::new(&mut rng, ChannelConfig::outdoor_60ghz());
+            let mut reused = PathSet::new();
+            ch.trace_into(&mut rng, env.statics(), tx, rx, &mut reused);
+            let mut fresh = reused.clone();
+            env.occlude(t_s, tx, rx, &mut reused, &mut shared);
+            env.occlude(t_s, tx, rx, &mut fresh, &mut OcclusionScratch::new());
+            prop_assert_eq!(reused.samples().len(), fresh.samples().len());
+            for (a, b) in reused.samples().iter().zip(fresh.samples()) {
+                prop_assert_eq!(a.gain.0.to_bits(), b.gain.0.to_bits());
+            }
+        }
+        prop_assert_eq!(shared.occlusions(), links.len() as u64);
     }
 }

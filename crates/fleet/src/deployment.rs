@@ -591,7 +591,6 @@ impl Deployment {
                 base.environment.clone(),
                 pop.materialize(length, width),
                 base.channel.carrier,
-                base.duration.as_secs_f64(),
             )));
         }
         let cfg = FleetConfig {

@@ -31,6 +31,7 @@ use silent_tracker::attribution::{InterruptionBreakdown, InterruptionMarks};
 use silent_tracker::tracker::{Action, HandoverDirective, Input};
 use silent_tracker::HandoverReason;
 use st_des::{Control, Executive, RngStreams, SimDuration, SimTime, StopReason};
+use st_env::OcclusionScratch;
 use st_mac::pdu::{CellId, Pdu, UeId};
 use st_mac::rach::{RachProcedure, RachState};
 use st_mac::responder::{RachResponder, ResponderConfig};
@@ -194,6 +195,9 @@ struct FleetWorld {
     /// being swept. Shared by all UEs of the shard (used transiently
     /// within one sweep).
     sweep_scratch: Vec<Dbm>,
+    /// The shard's occlusion frame: every UE measured at one instant
+    /// reuses one placement of the blocker field.
+    occl: OcclusionScratch,
     /// UEs ascending by global id, with their hot per-instant state
     /// split struct-of-arrays alongside: `poses[i]` memoizes UE `i`'s
     /// pose per instant (mobility models are trigonometry-heavy) and
@@ -533,6 +537,7 @@ impl ShardSim {
             ue_codebook,
             cal: base.radio.cal(),
             sweep_scratch: Vec::new(),
+            occl: OcclusionScratch::new(),
             ues,
             poses,
             links,
@@ -913,7 +918,15 @@ impl FleetWorld {
         let pose = self.pose(i, now);
         let links = &mut self.links[i];
         links.step_to(now);
-        links.rss(&self.sites, cell, tx_beam, pose, &self.ue_codebook, rx_beam)
+        links.rss_in(
+            &self.sites,
+            cell,
+            tx_beam,
+            pose,
+            &self.ue_codebook,
+            rx_beam,
+            &mut self.occl,
+        )
     }
 
     fn delivery_ok(&mut self, i: usize, rss: Option<Dbm>) -> bool {
@@ -996,13 +1009,14 @@ impl FleetWorld {
                 let pose = self.pose(i, now);
                 let links = &mut self.links[i];
                 links.step_to(now);
-                if !links.rss_tx_sweep(
+                if !links.rss_tx_sweep_in(
                     &self.sites,
                     cell,
                     pose,
                     &self.ue_codebook,
                     gap_beam,
                     &mut self.sweep_scratch[..n_beams],
+                    &mut self.occl,
                 ) {
                     continue;
                 }
@@ -1595,6 +1609,12 @@ impl FleetWorld {
         let mut profile = Profiler::default();
         profile.counters.add("phy.traces_cast", traces_cast);
         profile.counters.add("phy.rays_tested", rays_tested);
+        profile
+            .counters
+            .add("env.occlusions", self.occl.occlusions());
+        profile
+            .counters
+            .add("env.blockers_placed", self.occl.blockers_placed());
         profile.counters.add("des.events_popped", events);
         profile
             .counters

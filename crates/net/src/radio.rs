@@ -116,6 +116,14 @@ impl Sites {
 /// Snapshot reuse is RNG-neutral by construction: within one instant the
 /// geometry is fixed, so a re-trace would create no new fading processes
 /// and consume no draws (see [`LinkChannel::trace_into`]).
+///
+/// With a dynamic environment attached, each fresh snapshot runs the
+/// occlusion pass through an [`OcclusionScratch`] frame supplied by
+/// whoever owns the measurement instant ([`Self::rss_in`],
+/// [`Self::rss_tx_sweep_in`]): a fleet shard passes one scratch for all
+/// its UEs, so the blockers are placed once per instant, not once per
+/// link. [`Self::rss`] and [`Self::rss_tx_sweep`] are the same paths
+/// through a scratch the set owns, for single-link callers.
 #[derive(Debug)]
 pub struct LinkSet {
     config: ChannelConfig,
@@ -132,8 +140,8 @@ pub struct LinkSet {
     /// Set-level clock: the instant the active links were last advanced
     /// to. Lagging slots catch up to it on demand.
     clock: SimTime,
-    /// Occlusion candidate scratch for the dynamic-environment pass,
-    /// reused every snapshot (sized once to the blocker count).
+    /// Occlusion frame of [`Self::rss`] / [`Self::rss_tx_sweep`]; left
+    /// empty by callers that supply their own.
     occl: OcclusionScratch,
     /// Profiler counters: actual geometry traces performed (cache
     /// misses of the snapshot key) and rays produced by those traces.
@@ -325,10 +333,17 @@ impl LinkSet {
     /// The path snapshot of `cell` for a UE at `ue_pos`, traced at most
     /// once per (instant, position) and reused for every beam evaluated
     /// against it. With a dynamic environment attached, the occlusion
-    /// pass runs once here, on the snapshot — it consumes no RNG draws
-    /// and allocates nothing in steady state, so the zero-allocation and
-    /// determinism contracts of the sweep path carry over unchanged.
-    fn snapshot(&mut self, sites: &Sites, cell: usize, ue_pos: Vec2) -> &PathSet {
+    /// pass runs once here, on the snapshot, through `occl` — it consumes
+    /// no RNG draws and allocates nothing in steady state, so the
+    /// zero-allocation and determinism contracts of the sweep path carry
+    /// over unchanged.
+    fn snapshot(
+        &mut self,
+        sites: &Sites,
+        cell: usize,
+        ue_pos: Vec2,
+        occl: &mut OcclusionScratch,
+    ) -> &PathSet {
         let i = self.ensure_slot(cell as u16);
         let clock = self.clock;
         let slot = &mut self.slots[i];
@@ -355,7 +370,7 @@ impl LinkSet {
                     bs_pos,
                     ue_pos,
                     &mut slot.snap,
-                    &mut self.occl,
+                    occl,
                 );
             }
             self.traces_cast += 1;
@@ -367,6 +382,7 @@ impl LinkSet {
 
     /// Downlink RSS from `cell` on (`tx_beam`, `rx_beam`) for a UE at
     /// `ue_pose`. By channel reciprocity the same figure serves the uplink.
+    /// [`Self::rss_in`] through the set's own occlusion scratch.
     pub fn rss(
         &mut self,
         sites: &Sites,
@@ -376,8 +392,34 @@ impl LinkSet {
         ue_codebook: &Codebook,
         rx_beam: BeamId,
     ) -> Option<Dbm> {
+        let mut occl = std::mem::take(&mut self.occl);
+        let r = self.rss_in(
+            sites,
+            cell,
+            tx_beam,
+            ue_pose,
+            ue_codebook,
+            rx_beam,
+            &mut occl,
+        );
+        self.occl = occl;
+        r
+    }
+
+    /// [`Self::rss`], occluding a fresh snapshot through `occl`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn rss_in(
+        &mut self,
+        sites: &Sites,
+        cell: usize,
+        tx_beam: TxBeamIndex,
+        ue_pose: Pose,
+        ue_codebook: &Codebook,
+        rx_beam: BeamId,
+        occl: &mut OcclusionScratch,
+    ) -> Option<Dbm> {
         let bs = sites.pose(cell);
-        let set = self.snapshot(sites, cell, ue_pose.position);
+        let set = self.snapshot(sites, cell, ue_pose.position, occl);
         rss(
             sites.radio.tx_power,
             bs,
@@ -394,6 +436,7 @@ impl LinkSet {
     /// one trace and one pass over the rays — the SSB-sweep hot path.
     /// `out` must be `sites.codebooks[cell].len()` long; returns `false`
     /// (out untouched) when the link has no paths.
+    /// [`Self::rss_tx_sweep_in`] through the set's own occlusion scratch.
     pub fn rss_tx_sweep(
         &mut self,
         sites: &Sites,
@@ -403,8 +446,27 @@ impl LinkSet {
         rx_beam: BeamId,
         out: &mut [Dbm],
     ) -> bool {
+        let mut occl = std::mem::take(&mut self.occl);
+        let swept =
+            self.rss_tx_sweep_in(sites, cell, ue_pose, ue_codebook, rx_beam, out, &mut occl);
+        self.occl = occl;
+        swept
+    }
+
+    /// [`Self::rss_tx_sweep`], occluding a fresh snapshot through `occl`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn rss_tx_sweep_in(
+        &mut self,
+        sites: &Sites,
+        cell: usize,
+        ue_pose: Pose,
+        ue_codebook: &Codebook,
+        rx_beam: BeamId,
+        out: &mut [Dbm],
+        occl: &mut OcclusionScratch,
+    ) -> bool {
         let bs = sites.pose(cell);
-        let set = self.snapshot(sites, cell, ue_pose.position);
+        let set = self.snapshot(sites, cell, ue_pose.position, occl);
         rss_sweep_tx(
             sites.radio.tx_power,
             bs,

@@ -81,7 +81,6 @@ fn with_blockers(cfg: &mut ScenarioConfig, blockers: Vec<st_env::Blocker>) {
         cfg.environment.clone(),
         blockers,
         cfg.channel.carrier,
-        cfg.duration.as_secs_f64(),
     )));
 }
 

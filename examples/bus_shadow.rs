@@ -39,12 +39,8 @@ fn main() {
         "crowd" => st_env::crowd_crossing(12, (-15.0, 15.0), 30.0, seed),
         _ => st_env::bus_route(2, 200.0, 6.0, 8.0, seed),
     };
-    let dynamics = st_env::DynamicEnvironment::new(
-        base.environment.clone(),
-        blockers,
-        base.channel.carrier,
-        12.0,
-    );
+    let dynamics =
+        st_env::DynamicEnvironment::new(base.environment.clone(), blockers, base.channel.carrier);
     println!("LOS occlusion of the serving link (cell0 -> walker start):");
     let (bs, ue) = (Vec2::new(-40.0, 10.0), Vec2::new(-4.0, 0.0));
     for k in 0..24 {

@@ -7,8 +7,13 @@
 //!   the blocked fleet completes no more handovers-without-drama than the
 //!   clear one and its interruption profile differs;
 //! * opting out keeps the config untouched (no dynamics, stochastic
-//!   blockage still armed).
+//!   blockage still armed);
+//! * the outcome of a small blocked fleet is pinned, so a faster
+//!   occlusion pass cannot silently change what is simulated;
+//! * each shard places the blocker field once per instant, not once per
+//!   measured link.
 
+use silent_tracker_repro::silent_tracker::wire::Fnv64;
 use silent_tracker_repro::st_env::BlockerPopulation;
 use silent_tracker_repro::st_fleet::{
     run_fleet_with_workers, Deployment, FleetConfig, MobilityKind,
@@ -97,4 +102,61 @@ fn blocker_trajectories_alone_change_outcomes() {
     let a = run_fleet_with_workers(&blocked_fleet_seeds(21, 100, 50), 4).summary();
     let b = run_fleet_with_workers(&blocked_fleet_seeds(21, 101, 50), 4).summary();
     assert_ne!(a, b);
+}
+
+/// Both arms (20 silent and 20 reactive walkers) on the two-cell street
+/// with 20 moving blockers, in 2 shards.
+fn pinned_fleet() -> FleetConfig {
+    Deployment::new()
+        .street(200.0, 30.0)
+        .cell_row(2, 80.0)
+        .tx_beams(8)
+        .prach_preambles(8)
+        .spawn_region((-25.0, 15.0), (-3.0, 3.0))
+        .population(20, MobilityKind::Walk, ProtocolKind::SilentTracker)
+        .population(20, MobilityKind::Walk, ProtocolKind::Reactive)
+        .blockers(BlockerPopulation::new(42).crowd(14).vehicles(4).buses(2))
+        .exact_contention(true)
+        .duration_secs(2.0)
+        .seed(42)
+        .shards(2)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn blocked_fleet_summary_is_pinned() {
+    let summary = run_fleet_with_workers(&pinned_fleet(), 2).summary();
+    let mut h = Fnv64::new();
+    h.write(summary.as_bytes());
+    assert_eq!(h.finish(), PINNED_SUMMARY_FNV, "{summary}");
+}
+
+/// FNV-1a 64 of [`pinned_fleet`]'s summary. It is the value the earlier
+/// time-bucket cull produced, which the per-instant frame reproduces;
+/// a change to the occlusion pass that moves it changes outcomes.
+const PINNED_SUMMARY_FNV: u64 = 0x539f_133b_13b8_9722;
+
+#[test]
+fn shards_place_each_instant_once() {
+    let cfg = pinned_fleet();
+    let one = run_fleet_with_workers(&cfg, 1);
+    let four = run_fleet_with_workers(&cfg, 4);
+    let counters = |out: &silent_tracker_repro::st_fleet::FleetOutcome| {
+        let c = &out.profile().counters;
+        (c.get("env.occlusions"), c.get("env.blockers_placed"))
+    };
+    let (occlusions, placed) = counters(&one);
+    assert_eq!((occlusions, placed), counters(&four));
+    // Every traced snapshot runs the occlusion pass once.
+    assert_eq!(occlusions, one.profile().counters.get("phy.traces_cast"));
+    // A frame serves every UE of its shard measured at that instant:
+    // blockers placed per occlusion stays far below the blocker count a
+    // per-link placement would cost.
+    let blockers = cfg.base.dynamics.as_ref().unwrap().blocker_count() as f64;
+    let per_occlusion = placed as f64 / occlusions as f64;
+    assert!(
+        per_occlusion < blockers / 10.0,
+        "{placed} placed over {occlusions} occlusions ({per_occlusion:.2})"
+    );
 }

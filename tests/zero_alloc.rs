@@ -56,7 +56,7 @@ static A: Counting = Counting;
 use std::sync::Arc;
 
 use silent_tracker_repro::st_des::{RngStreams, SimDuration, SimTime};
-use silent_tracker_repro::st_env::{BlockerPopulation, DynamicEnvironment};
+use silent_tracker_repro::st_env::{BlockerPopulation, DynamicEnvironment, OcclusionScratch};
 use silent_tracker_repro::st_fleet::{RachAttemptMsg, RachReply, RachReq, SharedRachStage};
 use silent_tracker_repro::st_mac::pdu::UeId;
 use silent_tracker_repro::st_mac::responder::ResponderConfig;
@@ -122,8 +122,10 @@ fn steady_state_sweep_path_allocates_nothing() {
 
 /// The same guarantee with a dynamic environment attached: tracing the
 /// snapshot *and* running the blocker occlusion pass over it (60 moving
-/// blockers, time-indexed cull, knife-edge losses folded per ray)
-/// allocates nothing once the candidate scratch has warmed up.
+/// blockers placed once per instant, knife-edge losses folded per ray)
+/// allocates nothing once the frame scratch has warmed up — both for a
+/// single link set through its own scratch and for several link sets
+/// sharing one scratch per instant, as a fleet shard measures its UEs.
 #[test]
 fn occluded_sweep_path_allocates_nothing() {
     let walls = Environment::street_canyon(200.0, 30.0);
@@ -132,14 +134,10 @@ fn occluded_sweep_path_allocates_nothing() {
         .vehicles(6)
         .buses(2)
         .materialize(200.0, 30.0);
-    // Horizon shorter than the sweep (the measurement loop runs past
-    // 5 s) so both the indexed and the exhaustive-fallback query paths
-    // are exercised under the allocation counter.
     let dynamics = Arc::new(DynamicEnvironment::new(
         walls.clone(),
         blockers,
         Carrier::MM_WAVE_60GHZ,
-        3.0,
     ));
     let sites = Sites::new(
         vec![CellConfig::at(-40.0, 10.0), CellConfig::at(40.0, 10.0)],
@@ -150,19 +148,24 @@ fn occluded_sweep_path_allocates_nothing() {
     .with_dynamics(dynamics);
     let streams = RngStreams::new(3);
     let mut links = LinkSet::single_ue(&streams, sites.channel, sites.len());
+    // The fleet's shape: four UEs' link sets, one shared occlusion frame.
+    let mut fleet: Vec<LinkSet> = (0..4)
+        .map(|ue| LinkSet::for_ue(&streams, sites.channel, sites.len(), ue))
+        .collect();
+    let mut occl = OcclusionScratch::new();
     let ue_codebook = Codebook::for_class(BeamwidthClass::Narrow);
     let n_beams = sites.codebooks[0].len();
     let mut out = vec![Dbm(0.0); n_beams];
 
     let instant = |k: u64| SimTime::ZERO + SimDuration::from_millis(5 * (k + 1));
-    let pose_at = |k: u64| {
+    let pose_at = |k: u64, ue: u64| {
         Pose::new(
-            Vec2::new(-30.0 + 0.01 * k as f64, 0.5),
+            Vec2::new(-30.0 + 0.01 * k as f64 + 7.0 * ue as f64, 0.5),
             Radians(0.001 * k as f64),
         )
     };
-    let mut measure = |links: &mut LinkSet, k: u64| {
-        let pose = pose_at(k);
+    let mut measure = |links: &mut LinkSet, fleet: &mut [LinkSet], k: u64| {
+        let pose = pose_at(k, 0);
         links.step_to(instant(k));
         for cell in 0..sites.len() {
             assert!(links.rss_tx_sweep(&sites, cell, pose, &ue_codebook, BeamId(4), &mut out));
@@ -170,17 +173,35 @@ fn occluded_sweep_path_allocates_nothing() {
         for b in [BeamId(3), BeamId(5)] {
             links.rss(&sites, 0, 2, pose, &ue_codebook, b);
         }
+        for (ue, set) in fleet.iter_mut().enumerate() {
+            let pose = pose_at(k, ue as u64);
+            set.step_to(instant(k));
+            for cell in 0..sites.len() {
+                assert!(set.rss_tx_sweep_in(
+                    &sites,
+                    cell,
+                    pose,
+                    &ue_codebook,
+                    BeamId(4),
+                    &mut out,
+                    &mut occl,
+                ));
+            }
+            for b in [BeamId(3), BeamId(5)] {
+                set.rss_in(&sites, 0, 2, pose, &ue_codebook, b, &mut occl);
+            }
+        }
     };
 
-    // Warm-up: ray/sample scratch plus the occlusion candidate buffer
-    // (pre-sized to the blocker count on first use) reach steady state.
+    // Warm-up: ray/sample scratch plus the occlusion frames (sized to
+    // the blocker count on first use) reach steady state.
     for k in 0..16 {
-        measure(&mut links, k);
+        measure(&mut links, &mut fleet, k);
     }
 
     ARMED.with(|f| f.set(true));
     for k in 16..1016 {
-        measure(&mut links, k);
+        measure(&mut links, &mut fleet, k);
     }
     ARMED.with(|f| f.set(false));
     let delta = ALLOCS.with(Cell::get);
@@ -188,6 +209,10 @@ fn occluded_sweep_path_allocates_nothing() {
         delta, 0,
         "occluded sweep hot path allocated {delta} times over 1000 instants"
     );
+    // The shared frame was placed once per instant, not once per link.
+    let n_blockers = sites.dynamics.as_ref().unwrap().blocker_count() as u64;
+    assert_eq!(occl.blockers_placed(), 1016 * n_blockers);
+    assert_eq!(occl.occlusions(), 1016 * 4 * sites.len() as u64);
 }
 
 /// The shared cross-shard RACH stage armed: ingesting mailboxes, sorting
