@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use st_des::{RngStreams, SimTime};
 use st_env::{DynamicEnvironment, OcclusionScratch};
 use st_mac::timing::{SsbConfig, TxBeamIndex};
-use st_phy::channel::{ChannelConfig, Environment, PathSet};
+use st_phy::channel::{ChannelConfig, Environment, LinkDecay, PathSet};
 use st_phy::codebook::{BeamId, Codebook};
 use st_phy::geometry::{Pose, Vec2};
 use st_phy::link::{rss, rss_sweep_tx, RadioConfig};
@@ -312,8 +312,14 @@ impl LinkSet {
     /// carries the step time, so advancing the clock invalidates them
     /// implicitly. Links outside the interest set stay frozen and catch
     /// up in one step if they are ever measured again.
+    ///
+    /// Eager stepping advances the interesting links in lockstep, so they
+    /// share one `dt` and the decay coefficients are computed once per
+    /// call (recomputed only for a link whose `dt` bits differ, e.g. one
+    /// that just rejoined the set).
     pub fn step_to(&mut self, now: SimTime) {
         self.clock = now;
+        let mut decay: Option<LinkDecay> = None;
         let mut ai = 0;
         for slot in &mut self.slots {
             if ai == self.active.len() {
@@ -323,7 +329,11 @@ impl LinkSet {
                 ai += 1;
                 let dt = now.since(slot.last_step).as_secs_f64();
                 if dt > 0.0 {
-                    slot.channel.step(&mut slot.rng, dt);
+                    let d = match decay {
+                        Some(d) if d.dt_s().to_bits() == dt.to_bits() => d,
+                        _ => *decay.insert(LinkDecay::new(&self.config, dt)),
+                    };
+                    slot.channel.advance(&mut slot.rng, &d);
                     slot.last_step = now;
                 }
             }
@@ -554,6 +564,57 @@ mod tests {
             // instant) must not perturb the draws of later instants.
             let again = a.rss(&s, 0, 3, ue_pose, &ue_cb, rx).unwrap();
             assert_eq!(again, out[3]);
+        }
+    }
+
+    #[test]
+    fn lockstep_decay_matches_per_link_catch_up() {
+        // `a` steps its interest set eagerly through shared coefficients;
+        // links that left the set and rejoin, or join late, step with a
+        // longer dt than the rest. `b` has no interest set: every link
+        // catches up on its own dt when measured. Same links, same
+        // instants, so every RSS must agree to the bit.
+        let s = sites();
+        let mut cfg = ChannelConfig::outdoor_60ghz();
+        cfg.blockage_rate_hz = 20.0;
+        let s = Sites::new(
+            vec![
+                CellConfig::at(-40.0, 10.0),
+                CellConfig::at(0.0, -10.0),
+                CellConfig::at(40.0, 10.0),
+            ],
+            s.environment.clone(),
+            s.radio,
+            cfg,
+        );
+        let streams = RngStreams::new(5);
+        let mut a = LinkSet::for_ue_interest(&streams, cfg, s.len(), 3);
+        let mut b = LinkSet::for_ue_interest(&streams, cfg, s.len(), 3);
+        let ue_pose = Pose::new(Vec2::new(-5.0, 2.0), Radians(0.7));
+        let ue_cb = Codebook::for_class(BeamwidthClass::Narrow);
+        let schedule: [(u64, &[u16]); 7] = [
+            (5, &[0]),
+            (10, &[0, 1]),
+            (15, &[0, 1, 2]),
+            (17, &[1]),
+            (22, &[0, 1, 2]),
+            (30, &[0, 2]),
+            (35, &[0, 1, 2]),
+        ];
+        for (ms, cells) in schedule {
+            let now = SimTime::ZERO + st_des::SimDuration::from_millis(ms);
+            a.set_interest(cells);
+            a.step_to(now);
+            b.step_to(now);
+            for &c in cells {
+                let ra = a.rss(&s, c as usize, 2, ue_pose, &ue_cb, BeamId(4));
+                let rb = b.rss(&s, c as usize, 2, ue_pose, &ue_cb, BeamId(4));
+                assert_eq!(
+                    ra.map(|r| r.0.to_bits()),
+                    rb.map(|r| r.0.to_bits()),
+                    "cell {c} at {ms} ms"
+                );
+            }
         }
     }
 

@@ -15,7 +15,7 @@ pub mod raytrace;
 use rand::Rng;
 
 use crate::geometry::{Radians, Vec2};
-use crate::stochastic::{BlockageProcess, CorrelatedRician, OrnsteinUhlenbeck};
+use crate::stochastic::{BlockageProcess, CorrelatedRician, OrnsteinUhlenbeck, OuDecay};
 use crate::units::{Carrier, Db};
 
 pub use pathloss::{CloseIn, FreeSpace, PathLossModel, UmiStreetCanyonLos, UmiStreetCanyonNlos};
@@ -155,6 +155,36 @@ impl ChannelConfig {
             ..ChannelConfig::outdoor_60ghz()
         }
     }
+
+    /// Correlation time of the per-ray fading processes (the coherence
+    /// time, floored so a zero setting cannot divide by zero).
+    fn fading_tau_s(&self) -> f64 {
+        self.fading_coherence_s.max(1e-6)
+    }
+}
+
+/// Decay coefficients of one [`LinkChannel::step`] of `dt_s` seconds: one
+/// pair for the shadowing process and one shared by every fading
+/// quadrature (they all decorrelate over the coherence time). Links with
+/// the same config stepped by the same `dt_s` can share one value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkDecay {
+    shadowing: OuDecay,
+    fading: OuDecay,
+}
+
+impl LinkDecay {
+    pub fn new(config: &ChannelConfig, dt_s: f64) -> LinkDecay {
+        LinkDecay {
+            shadowing: OuDecay::new(config.shadowing_tau_s, dt_s),
+            fading: OuDecay::new(config.fading_tau_s(), dt_s),
+        }
+    }
+
+    /// The step length the coefficients were computed for, seconds.
+    pub fn dt_s(&self) -> f64 {
+        self.shadowing.dt_s()
+    }
 }
 
 /// Stochastic state of one radio link.
@@ -195,10 +225,17 @@ impl LinkChannel {
 
     /// Advance the time-correlated components by `dt_s`.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R, dt_s: f64) {
-        self.shadowing.step(rng, dt_s);
-        self.blockage.step(rng, dt_s);
+        self.advance(rng, &LinkDecay::new(&self.config, dt_s));
+    }
+
+    /// [`step`](Self::step) by `decay.dt_s()` through precomputed decay
+    /// coefficients, which must come from this link's config.
+    /// Bit-identical to `step`, draws included.
+    pub fn advance<R: Rng + ?Sized>(&mut self, rng: &mut R, decay: &LinkDecay) {
+        self.shadowing.advance(rng, &decay.shadowing);
+        self.blockage.step(rng, decay.dt_s());
         for (_, f) in &mut self.fading {
-            f.step(rng, dt_s);
+            f.advance(rng, &decay.fading);
         }
     }
 
@@ -213,7 +250,7 @@ impl LinkChannel {
         } else {
             self.config.nlos_k_db
         };
-        let coherence = self.config.fading_coherence_s.max(1e-6);
+        let coherence = self.config.fading_tau_s();
         if idx == self.fading.len() {
             self.fading
                 .push((is_los, CorrelatedRician::new(rng, k_db, coherence)));
@@ -249,6 +286,7 @@ impl LinkChannel {
         env.trace_into(tx, rx, rays);
         samples.clear();
         let shadow = Db(self.shadowing.value());
+        let fspl_1m = self.config.carrier.fspl(1.0);
         for (idx, ray) in rays.iter().enumerate() {
             let exponent = if ray.is_los {
                 self.config.los_exponent
@@ -259,7 +297,7 @@ impl LinkChannel {
                 carrier: self.config.carrier,
                 exponent,
             }
-            .loss(ray.length_m);
+            .loss_above(fspl_1m, ray.length_m);
             let mut gain = -(pl + ray.excess_loss) - shadow;
             if ray.is_los {
                 gain -= Db(self.blockage.loss_db());

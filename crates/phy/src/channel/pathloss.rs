@@ -44,12 +44,19 @@ impl CloseIn {
             exponent: 3.3,
         }
     }
+
+    /// [`loss`](PathLossModel::loss) given the reference loss
+    /// `fspl_1m = self.carrier.fspl(1.0)`, so a caller evaluating many
+    /// rays pays its two `log10`s once.
+    pub fn loss_above(&self, fspl_1m: Db, distance_m: f64) -> Db {
+        let d = distance_m.max(1.0);
+        fspl_1m + Db(10.0 * self.exponent * d.log10())
+    }
 }
 
 impl PathLossModel for CloseIn {
     fn loss(&self, distance_m: f64) -> Db {
-        let d = distance_m.max(1.0);
-        self.carrier.fspl(1.0) + Db(10.0 * self.exponent * d.log10())
+        self.loss_above(self.carrier.fspl(1.0), distance_m)
     }
 }
 

@@ -124,7 +124,12 @@ impl Radians {
 
     /// Wrap into (-π, π].
     pub fn wrapped(self) -> Radians {
-        let mut a = self.0 % TAU;
+        // `x % TAU` is exactly `x` when |x| < TAU; skip the fmod there.
+        let mut a = if self.0.abs() < TAU {
+            self.0
+        } else {
+            self.0 % TAU
+        };
         if a <= -PI {
             a += TAU;
         } else if a > PI {

@@ -161,10 +161,10 @@ pub fn rss_sweep_tx(
         let tx_local = (p.aod - tx_pose.heading).wrapped();
         let rx_local = (p.aoa - rx_pose.heading).wrapped();
         let g_rx = rx_codebook.gain(rx_beam, rx_local);
+        let mut memo = None;
         for (o, beam) in out.iter_mut().zip(tx_codebook.beams()) {
             let g_tx = beam.gain_towards(tx_local);
-            let level = tx_power + g_tx + p.gain + g_rx;
-            o.0 += level.milliwatts().0;
+            o.0 += ray_milliwatts(&mut memo, g_tx, || tx_power + g_tx + p.gain + g_rx);
         }
     }
     for o in out.iter_mut() {
@@ -197,16 +197,34 @@ pub fn rss_sweep_rx(
         let tx_local = (p.aod - tx_pose.heading).wrapped();
         let rx_local = (p.aoa - rx_pose.heading).wrapped();
         let g_tx = tx_codebook.gain(tx_beam, tx_local);
+        let mut memo = None;
         for (o, beam) in out.iter_mut().zip(rx_codebook.beams()) {
             let g_rx = beam.gain_towards(rx_local);
-            let level = tx_power + g_tx + p.gain + g_rx;
-            o.0 += level.milliwatts().0;
+            o.0 += ray_milliwatts(&mut memo, g_rx, || tx_power + g_tx + p.gain + g_rx);
         }
     }
     for o in out.iter_mut() {
         *o = MilliWatts(o.0).dbm();
     }
     true
+}
+
+/// One ray's received power in milliwatts for the swept beam's gain
+/// `gain`, where `level` is the ray's dBm level at that gain. `memo` holds
+/// the previous beam's (gain bits, milliwatts) on the same ray: every
+/// other term of the level is fixed per ray, so a beam whose gain has
+/// the same bits (the side-lobe floor) reuses the value instead of
+/// paying another `powf`.
+fn ray_milliwatts(memo: &mut Option<(u64, f64)>, gain: Db, level: impl FnOnce() -> Dbm) -> f64 {
+    let bits = gain.0.to_bits();
+    match *memo {
+        Some((b, mw)) if b == bits => mw,
+        _ => {
+            let mw = level().milliwatts().0;
+            *memo = Some((bits, mw));
+            mw
+        }
+    }
 }
 
 /// Signal-to-noise ratio for an RSS at a given receiver.

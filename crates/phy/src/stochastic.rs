@@ -74,15 +74,48 @@ impl OrnsteinUhlenbeck {
     ///
     /// Exact discretization: x' = ρ x + σ √(1-ρ²) w, ρ = exp(-dt/τ).
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R, dt_s: f64) -> f64 {
-        debug_assert!(dt_s >= 0.0);
+        self.advance(rng, &OuDecay::new(self.tau_s, dt_s))
+    }
+
+    /// [`step`](Self::step) with the decay coefficients precomputed, so
+    /// processes sharing (τ, dt) pay the `exp` and `sqrt` once.
+    /// Bit-identical to `step(rng, decay.dt_s())`.
+    pub fn advance<R: Rng + ?Sized>(&mut self, rng: &mut R, decay: &OuDecay) -> f64 {
+        debug_assert_eq!(self.tau_s.to_bits(), decay.tau_s.to_bits());
         if self.sigma == 0.0 {
             self.state = 0.0;
             return 0.0;
         }
-        let rho = (-dt_s / self.tau_s).exp();
-        self.state =
-            rho * self.state + self.sigma * (1.0 - rho * rho).sqrt() * standard_normal(rng);
+        self.state = decay.rho * self.state + self.sigma * decay.s * standard_normal(rng);
         self.state
+    }
+}
+
+/// Decay coefficients of one [`OrnsteinUhlenbeck`] step of `dt_s` seconds
+/// at time constant `tau_s`: ρ = exp(-dt/τ) and s = √(1-ρ²).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OuDecay {
+    tau_s: f64,
+    dt_s: f64,
+    rho: f64,
+    s: f64,
+}
+
+impl OuDecay {
+    pub fn new(tau_s: f64, dt_s: f64) -> OuDecay {
+        debug_assert!(dt_s >= 0.0);
+        let rho = (-dt_s / tau_s).exp();
+        OuDecay {
+            tau_s,
+            dt_s,
+            rho,
+            s: (1.0 - rho * rho).sqrt(),
+        }
+    }
+
+    /// The step length the coefficients were computed for, seconds.
+    pub fn dt_s(&self) -> f64 {
+        self.dt_s
     }
 }
 
@@ -157,8 +190,14 @@ impl CorrelatedRician {
 
     /// Advance the scattered component by `dt_s` seconds.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R, dt_s: f64) {
-        self.i.step(rng, dt_s);
-        self.q.step(rng, dt_s);
+        self.advance(rng, &OuDecay::new(self.i.tau_s, dt_s));
+    }
+
+    /// [`step`](Self::step) through precomputed decay coefficients (τ is
+    /// the coherence time, shared by both quadratures).
+    pub fn advance<R: Rng + ?Sized>(&mut self, rng: &mut R, decay: &OuDecay) {
+        self.i.advance(rng, decay);
+        self.q.advance(rng, decay);
     }
 
     /// Current fading power gain in dB around a 0 dB mean. Pure read —

@@ -8,8 +8,9 @@
 //!   clear one and its interruption profile differs;
 //! * opting out keeps the config untouched (no dynamics, stochastic
 //!   blockage still armed);
-//! * the outcome of a small blocked fleet is pinned, so a faster
-//!   occlusion pass cannot silently change what is simulated;
+//! * the outcomes of a small blocked fleet and of the same fleet without
+//!   blockers are pinned, so a faster occlusion pass or channel kernel
+//!   cannot silently change what is simulated;
 //! * each shard places the blocker field once per instant, not once per
 //!   measured link.
 
@@ -104,9 +105,9 @@ fn blocker_trajectories_alone_change_outcomes() {
     assert_ne!(a, b);
 }
 
-/// Both arms (20 silent and 20 reactive walkers) on the two-cell street
-/// with 20 moving blockers, in 2 shards.
-fn pinned_fleet() -> FleetConfig {
+/// Both arms (20 silent and 20 reactive walkers) on the two-cell street,
+/// in 2 shards, without moving blockers.
+fn pinned_deployment() -> Deployment {
     Deployment::new()
         .street(200.0, 30.0)
         .cell_row(2, 80.0)
@@ -115,11 +116,16 @@ fn pinned_fleet() -> FleetConfig {
         .spawn_region((-25.0, 15.0), (-3.0, 3.0))
         .population(20, MobilityKind::Walk, ProtocolKind::SilentTracker)
         .population(20, MobilityKind::Walk, ProtocolKind::Reactive)
-        .blockers(BlockerPopulation::new(42).crowd(14).vehicles(4).buses(2))
         .exact_contention(true)
         .duration_secs(2.0)
         .seed(42)
         .shards(2)
+}
+
+/// [`pinned_deployment`] with 20 moving blockers.
+fn pinned_fleet() -> FleetConfig {
+    pinned_deployment()
+        .blockers(BlockerPopulation::new(42).crowd(14).vehicles(4).buses(2))
         .build()
         .unwrap()
 }
@@ -136,6 +142,22 @@ fn blocked_fleet_summary_is_pinned() {
 /// time-bucket cull produced, which the per-instant frame reproduces;
 /// a change to the occlusion pass that moves it changes outcomes.
 const PINNED_SUMMARY_FNV: u64 = 0x539f_133b_13b8_9722;
+
+#[test]
+fn clear_fleet_summary_is_pinned() {
+    let cfg = pinned_deployment().build().unwrap();
+    assert!(cfg.base.dynamics.is_none());
+    let summary = run_fleet_with_workers(&cfg, 2).summary();
+    let mut h = Fnv64::new();
+    h.write(summary.as_bytes());
+    assert_eq!(h.finish(), PINNED_CLEAR_SUMMARY_FNV, "{summary}");
+}
+
+/// FNV-1a 64 of the blocker-free [`pinned_deployment`]'s summary: every
+/// measurement goes through the phy path alone (link stepping, tracing,
+/// beam sweeps), so a faster channel kernel that moves it changes
+/// outcomes.
+const PINNED_CLEAR_SUMMARY_FNV: u64 = 0x3287_e9d7_238a_abb8;
 
 #[test]
 fn shards_place_each_instant_once() {
