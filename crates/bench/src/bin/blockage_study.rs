@@ -6,7 +6,23 @@
 //! stdout); otherwise the positional arguments are blocker densities
 //! (default 0 25 50 100). Either mode writes the `BENCH_blockage.json`
 //! artifact to `--json PATH`. Exits with code 1, printing no metrics,
-//! when any fleet ran out of its event budget.
+//! when any fleet ran out of its event budget, and with code 2 on a bad
+//! flag value or a configuration that fails validation (`--ues 0`).
+
+use st_bench::flag_value;
+
+const USAGE: &str = "blockage_study [--smoke] [--workers N] [--json PATH] [--ues N] [DENSITIES...]";
+
+/// Print the error and the usage, and exit with code 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\nusage: {USAGE}");
+    std::process::exit(2)
+}
+
+/// The value after `flag`, or a usage error.
+fn arg<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    flag_value(args, flag).unwrap_or_else(|e| usage_error(&e))
+}
 
 fn exit_if_truncated(study: &st_bench::blockage_study::BlockageStudy) {
     if let Err(e) = study.check_budgets() {
@@ -27,19 +43,15 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers N");
-            }
-            "--json" => {
-                json_path = args.next().expect("--json PATH");
-            }
-            "--ues" => {
-                ues = args.next().and_then(|v| v.parse().ok()).expect("--ues N");
-            }
-            other => densities.push(other.parse().expect("blocker density")),
+            "--workers" => workers = arg(&mut args, "--workers"),
+            "--json" => json_path = arg(&mut args, "--json"),
+            "--ues" => ues = arg(&mut args, "--ues"),
+            other if other.starts_with("--") => usage_error(&format!("unknown flag {other}")),
+            other => densities.push(
+                other
+                    .parse()
+                    .unwrap_or_else(|_| usage_error(&format!("bad blocker density `{other}`"))),
+            ),
         }
     }
     if smoke {
@@ -54,7 +66,8 @@ fn main() {
     if densities.is_empty() {
         densities = vec![0, 25, 50, 100];
     }
-    let r = st_bench::blockage_study::run(&densities, 42, workers, ues);
+    let r = st_bench::blockage_study::run(&densities, 42, workers, ues)
+        .unwrap_or_else(|e| usage_error(&e));
     exit_if_truncated(&r);
     println!("{}", st_bench::blockage_study::render(&r));
     if let Err(e) = st_bench::blockage_study::write_bench_json(&json_path, &r, "sweep") {

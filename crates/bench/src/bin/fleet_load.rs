@@ -52,7 +52,26 @@
 //! same way it compares `--smoke` runs.
 //!
 //! Live runs exit with code 1, printing no metrics, when any fleet ran
-//! out of its event budget.
+//! out of its event budget. A bad flag value or a configuration that
+//! fails validation (say, a population of 0) exits with code 2.
+
+use st_bench::flag_value;
+
+const USAGE: &str = "fleet_load [--smoke] [--exact-contention] [--workers N] [--json PATH] \
+[--snapshot-s S] [--timeline PATH] [--explain-top N] [--causes PATH] \
+[--record PATH | --replay PATH] [--ues N]... [--compare-ues N]... [--round-robin] \
+[--interest-radius M] [POPULATIONS...]";
+
+/// Print the error and the usage, and exit with code 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\nusage: {USAGE}");
+    std::process::exit(2)
+}
+
+/// The value after `flag`, or a usage error.
+fn arg<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    flag_value(args, flag).unwrap_or_else(|e| usage_error(&e))
+}
 
 fn exit_if_truncated(load: &st_bench::fleet_load::FleetLoad) {
     if let Err(e) = load.check_budgets() {
@@ -84,66 +103,42 @@ fn main() {
         match a.as_str() {
             "--smoke" => smoke = true,
             "--exact-contention" => exact = true,
-            "--ues" => {
-                scale_ues.push(args.next().and_then(|v| v.parse().ok()).expect("--ues N"));
-            }
-            "--compare-ues" => {
-                compare_ues.push(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--compare-ues N"),
-                );
-            }
+            "--ues" => scale_ues.push(arg(&mut args, "--ues")),
+            "--compare-ues" => compare_ues.push(arg(&mut args, "--compare-ues")),
             "--round-robin" => round_robin = true,
             "--interest-radius" => {
-                let m: f64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--interest-radius M (metres, 0 disables)");
+                // Metres; 0 disables.
+                let m: f64 = arg(&mut args, "--interest-radius");
                 interest_radius = (m > 0.0).then_some(m);
             }
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers N");
-            }
-            "--json" => {
-                json_path = args.next().expect("--json PATH");
-            }
-            "--timeline" => {
-                timeline_path = args.next().expect("--timeline PATH");
-            }
+            "--workers" => workers = arg(&mut args, "--workers"),
+            "--json" => json_path = arg(&mut args, "--json"),
+            "--timeline" => timeline_path = arg(&mut args, "--timeline"),
             "--snapshot-s" => {
-                snapshot_s = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&s: &f64| s > 0.0)
-                        .expect("--snapshot-s S (seconds, > 0)"),
-                );
+                let s: f64 = arg(&mut args, "--snapshot-s");
+                if !(s > 0.0 && s.is_finite()) {
+                    usage_error(&format!("--snapshot-s needs seconds > 0, got {s}"));
+                }
+                snapshot_s = Some(s);
             }
-            "--record" => {
-                record_path = Some(args.next().expect("--record PATH"));
-            }
-            "--replay" => {
-                replay_path = Some(args.next().expect("--replay PATH"));
-            }
-            "--explain-top" => {
-                explain_top = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--explain-top N");
-            }
-            "--causes" => {
-                causes_path = Some(args.next().expect("--causes PATH"));
-            }
-            other => populations.push(other.parse().expect("population size")),
+            "--record" => record_path = Some(arg(&mut args, "--record")),
+            "--replay" => replay_path = Some(arg(&mut args, "--replay")),
+            "--explain-top" => explain_top = arg(&mut args, "--explain-top"),
+            "--causes" => causes_path = Some(arg(&mut args, "--causes")),
+            other if other.starts_with("--") => usage_error(&format!("unknown flag {other}")),
+            other => populations.push(
+                other
+                    .parse()
+                    .unwrap_or_else(|_| usage_error(&format!("bad population size `{other}`"))),
+            ),
         }
     }
 
     if let Some(path) = replay_path {
-        let trace = st_net::FleetTrace::load(std::path::Path::new(&path))
-            .unwrap_or_else(|e| panic!("could not load trace {path}: {e}"));
+        let trace = st_net::FleetTrace::load(std::path::Path::new(&path)).unwrap_or_else(|e| {
+            eprintln!("error: could not load trace {path}: {e}");
+            std::process::exit(1)
+        });
         let mut failed = false;
         for run in &trace.runs {
             let (rep, wall_s) = st_net::replay_run_timed(run, workers, 3);
@@ -208,7 +203,8 @@ fn main() {
     };
     if smoke {
         let (summary, mut load) =
-            st_bench::fleet_load::smoke_timed_obs(workers, exact, record, snapshot_s);
+            st_bench::fleet_load::smoke_timed_obs(workers, exact, record, snapshot_s)
+                .unwrap_or_else(|e| usage_error(&e));
         exit_if_truncated(&load);
         print!("{summary}");
         if explain_top > 0 {
@@ -238,19 +234,18 @@ fn main() {
         }
     } else {
         st_bench::fleet_load::run_obs(&populations, 42, workers, exact, record, snapshot_s)
+            .unwrap_or_else(|e| usage_error(&e))
     };
     // Scale arms. The `--compare-ues` twins (round-robin, full link set
     // — the pre-interest-management execution) run first so each
     // baseline row sits above its tiles counterpart in the artifact.
+    let scale_point = |ues, strategy, radius| {
+        st_bench::fleet_load::run_scale_point(ues, strategy, radius, exact, workers, 42)
+            .unwrap_or_else(|e| usage_error(&e))
+    };
     for &ues in &compare_ues {
-        r.arms.push(st_bench::fleet_load::run_scale_point(
-            ues,
-            st_fleet::ShardStrategy::RoundRobin,
-            None,
-            exact,
-            workers,
-            42,
-        ));
+        r.arms
+            .push(scale_point(ues, st_fleet::ShardStrategy::RoundRobin, None));
     }
     let strategy = if round_robin {
         st_fleet::ShardStrategy::RoundRobin
@@ -258,14 +253,7 @@ fn main() {
         st_fleet::ShardStrategy::Tiles
     };
     for &ues in &scale_ues {
-        r.arms.push(st_bench::fleet_load::run_scale_point(
-            ues,
-            strategy,
-            interest_radius,
-            exact,
-            workers,
-            42,
-        ));
+        r.arms.push(scale_point(ues, strategy, interest_radius));
     }
     exit_if_truncated(&r);
     save_trace(&r);

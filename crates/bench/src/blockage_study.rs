@@ -49,8 +49,14 @@ pub struct BlockageStudy {
 /// geometric blockage model, so the stochastic duty cycle is off across
 /// the whole sweep and the density axis varies exactly one thing: the
 /// number of obstacles. Density 0 is therefore a genuinely clear street,
-/// not "stochastic blockage instead".
-fn deployment(density: u32, protocol: ProtocolKind, seed: u64, ues: u32) -> FleetConfig {
+/// not "stochastic blockage instead". Fails with
+/// [`FleetConfig::validate`]'s message (no UEs).
+fn deployment(
+    density: u32,
+    protocol: ProtocolKind,
+    seed: u64,
+    ues: u32,
+) -> Result<FleetConfig, String> {
     let buses = (density / 25).min(4);
     let vehicles = (density / 12).min(8);
     let crowd = density - buses - vehicles;
@@ -71,7 +77,6 @@ fn deployment(density: u32, protocol: ProtocolKind, seed: u64, ues: u32) -> Flee
         .seed(seed)
         .shards(4)
         .build()
-        .expect("valid blockage deployment")
 }
 
 impl BlockageStudy {
@@ -86,23 +91,37 @@ impl BlockageStudy {
     }
 }
 
-pub fn run(densities: &[u32], seed: u64, workers: usize, ues: u32) -> BlockageStudy {
-    let mut arms = Vec::new();
+/// Run every (density, arm) point. Every configuration is validated
+/// before any fleet runs; the first invalid one is the error.
+pub fn run(
+    densities: &[u32],
+    seed: u64,
+    workers: usize,
+    ues: u32,
+) -> Result<BlockageStudy, String> {
+    let mut points = Vec::new();
     for &blockers in densities {
         for protocol in [ProtocolKind::SilentTracker, ProtocolKind::Reactive] {
-            let cfg = deployment(blockers, protocol, seed, ues);
-            let start = Instant::now();
-            let outcome = run_fleet_with_workers(&cfg, workers);
-            let wall_s = start.elapsed().as_secs_f64();
-            arms.push(DensityArm {
+            points.push((
                 blockers,
                 protocol,
-                outcome,
-                wall_s,
-            });
+                deployment(blockers, protocol, seed, ues)?,
+            ));
         }
     }
-    BlockageStudy { arms }
+    let mut arms = Vec::new();
+    for (blockers, protocol, cfg) in points {
+        let start = Instant::now();
+        let outcome = run_fleet_with_workers(&cfg, workers);
+        let wall_s = start.elapsed().as_secs_f64();
+        arms.push(DensityArm {
+            blockers,
+            protocol,
+            outcome,
+            wall_s,
+        });
+    }
+    Ok(BlockageStudy { arms })
 }
 
 fn arm_label(p: ProtocolKind) -> &'static str {
@@ -267,7 +286,7 @@ pub fn write_bench_json(path: &str, r: &BlockageStudy, mode: &str) -> std::io::R
 /// worker-invariant); wall-clock lives only in the JSON artifact.
 pub fn smoke(workers: usize) -> (String, BlockageStudy) {
     use std::fmt::Write as _;
-    let study = run(&[0, 24], 11, workers, 10);
+    let study = run(&[0, 24], 11, workers, 10).expect("valid smoke sweep");
     let mut s = String::new();
     for a in &study.arms {
         writeln!(
@@ -295,7 +314,7 @@ mod tests {
 
     #[test]
     fn sweep_renders_and_serializes_both_arms() {
-        let r = run(&[0, 16], 3, 4, 8);
+        let r = run(&[0, 16], 3, 4, 8).unwrap();
         assert_eq!(r.arms.len(), 4);
         let table = render(&r);
         assert!(
@@ -318,8 +337,14 @@ mod tests {
     }
 
     #[test]
+    fn empty_population_is_an_error_not_a_panic() {
+        let err = run(&[0, 16], 3, 1, 0).unwrap_err();
+        assert!(err.contains("at least one UE"), "{err}");
+    }
+
+    #[test]
     fn exhausted_event_budget_is_an_error() {
-        let mut cfg = deployment(16, ProtocolKind::Reactive, 3, 8);
+        let mut cfg = deployment(16, ProtocolKind::Reactive, 3, 8).unwrap();
         cfg.event_budget = 64;
         let outcome = run_fleet_with_workers(&cfg, 2);
         assert!(outcome.totals.budget_exhausted_shards > 0);

@@ -115,7 +115,8 @@ pub fn replay_arms(load: &FleetLoad, workers: usize) -> Vec<ReplayRow> {
 /// small preamble pool so PRACH contention rises with population.
 /// `exact` routes all RACH traffic through the shared cross-shard
 /// responder stage (exact global contention) instead of the per-shard
-/// approximation.
+/// approximation. Fails with [`FleetConfig::validate`]'s message (an
+/// empty population, a snapshot interval under 1 ns).
 fn deployment(
     ues: u64,
     protocol: ProtocolKind,
@@ -123,7 +124,7 @@ fn deployment(
     exact: bool,
     record: bool,
     snapshot_s: Option<f64>,
-) -> FleetConfig {
+) -> Result<FleetConfig, String> {
     let walkers = (ues * 4 / 5) as u32;
     let vehicles = ues as u32 - walkers;
     let mut d = Deployment::new()
@@ -141,7 +142,7 @@ fn deployment(
     if let Some(s) = snapshot_s {
         d = d.snapshot_interval_secs(s);
     }
-    d.build().expect("valid fleet deployment")
+    d.build()
 }
 
 /// Package a run's recorded traces as one [`RunTrace`] (recording arms
@@ -167,14 +168,16 @@ fn take_trace(
     })
 }
 
+/// [`run_obs`] without snapshots, for populations known to be valid.
 pub fn run(populations: &[u64], seed: u64, workers: usize, exact: bool, record: bool) -> FleetLoad {
-    run_obs(populations, seed, workers, exact, record, None)
+    run_obs(populations, seed, workers, exact, record, None).expect("valid fleet deployment")
 }
 
-/// [`run`] with the snapshot timeline armed: every fleet in the sweep
+/// The sweep with the snapshot timeline optionally armed: every fleet
 /// pushes a telemetry slice each `snapshot_s` seconds of simulated
 /// time, and the merged rings land in the outcomes for
-/// [`timeline_json`] / [`write_timeline_json`].
+/// [`timeline_json`] / [`write_timeline_json`]. Every configuration is
+/// validated before any fleet runs; the first invalid one is the error.
 pub fn run_obs(
     populations: &[u64],
     seed: u64,
@@ -182,34 +185,39 @@ pub fn run_obs(
     exact: bool,
     record: bool,
     snapshot_s: Option<f64>,
-) -> FleetLoad {
-    let mut arms = Vec::new();
+) -> Result<FleetLoad, String> {
+    let mut points = Vec::new();
     for &ues in populations {
         for protocol in [ProtocolKind::SilentTracker, ProtocolKind::Reactive] {
-            let cfg = deployment(ues, protocol, seed, exact, record, snapshot_s);
-            let start = Instant::now();
-            let mut outcome = run_fleet_with_workers(&cfg, workers);
-            let wall_s = start.elapsed().as_secs_f64();
-            let trace = take_trace(
-                format!("{ues}-{}", arm_label(protocol)),
-                &cfg,
-                &mut outcome,
-                wall_s,
-            );
-            arms.push(Arm {
-                ues,
-                protocol,
-                sharding: sharding_label(&cfg),
-                outcome,
-                wall_s,
-                trace,
-            });
+            let cfg = deployment(ues, protocol, seed, exact, record, snapshot_s)
+                .map_err(|e| format!("{ues} UEs: {e}"))?;
+            points.push((ues, protocol, cfg));
         }
     }
-    FleetLoad {
+    let mut arms = Vec::new();
+    for (ues, protocol, cfg) in points {
+        let start = Instant::now();
+        let mut outcome = run_fleet_with_workers(&cfg, workers);
+        let wall_s = start.elapsed().as_secs_f64();
+        let trace = take_trace(
+            format!("{ues}-{}", arm_label(protocol)),
+            &cfg,
+            &mut outcome,
+            wall_s,
+        );
+        arms.push(Arm {
+            ues,
+            protocol,
+            sharding: sharding_label(&cfg),
+            outcome,
+            wall_s,
+            trace,
+        });
+    }
+    Ok(FleetLoad {
         arms,
         replay: Vec::new(),
-    }
+    })
 }
 
 fn arm_label(p: ProtocolKind) -> &'static str {
@@ -239,14 +247,15 @@ fn sharding_label(cfg: &FleetConfig) -> &'static str {
 /// contention groups).
 ///
 /// `interest_radius` of `None` keeps the full per-UE link set (the
-/// pre-interest behaviour); the scale CLI defaults to 150 m.
+/// pre-interest behaviour); the scale CLI defaults to 150 m. Fails with
+/// [`FleetConfig::validate`]'s message.
 pub fn scale_deployment(
     ues: u64,
     strategy: ShardStrategy,
     interest_radius: Option<f64>,
     exact: bool,
     seed: u64,
-) -> FleetConfig {
+) -> Result<FleetConfig, String> {
     let blocks = (ues / 5_000).clamp(2, 8) as usize;
     let per_block = 5usize;
     let block_span = (per_block - 1) as f64 * 100.0;
@@ -280,7 +289,7 @@ pub fn scale_deployment(
     if let Some(r) = interest_radius {
         d = d.interest_radius(r);
     }
-    d.build().expect("valid scale deployment")
+    d.build()
 }
 
 /// Run one scale point and package it as an [`Arm`]. Stdout-facing
@@ -293,19 +302,20 @@ pub fn run_scale_point(
     exact: bool,
     workers: usize,
     seed: u64,
-) -> Arm {
-    let cfg = scale_deployment(ues, strategy, interest_radius, exact, seed);
+) -> Result<Arm, String> {
+    let cfg = scale_deployment(ues, strategy, interest_radius, exact, seed)
+        .map_err(|e| format!("{ues} UEs: {e}"))?;
     let start = Instant::now();
     let outcome = run_fleet_with_workers(&cfg, workers);
     let wall_s = start.elapsed().as_secs_f64();
-    Arm {
+    Ok(Arm {
         ues,
         protocol: ProtocolKind::SilentTracker,
         sharding: sharding_label(&cfg),
         outcome,
         wall_s,
         trace: None,
-    }
+    })
 }
 
 /// Serialize the sweep into the `BENCH_fleet.json` perf artifact: per-arm
@@ -646,7 +656,7 @@ pub fn smoke_config(exact: bool) -> FleetConfig {
 /// [`smoke_config`] with trace recording optionally armed (recording
 /// does not perturb the protocol fold, so the summary stays identical).
 pub fn smoke_config_recorded(exact: bool, record: bool) -> FleetConfig {
-    smoke_config_obs(exact, record, None)
+    smoke_config_obs(exact, record, None).expect("valid smoke fleet")
 }
 
 /// [`smoke_config_recorded`] with the snapshot timeline optionally
@@ -654,7 +664,11 @@ pub fn smoke_config_recorded(exact: bool, record: bool) -> FleetConfig {
 /// the aggregate summary byte-identical; the CI telemetry smoke relies
 /// on both properties (same summary, `cmp`-equal timelines across
 /// worker counts).
-pub fn smoke_config_obs(exact: bool, record: bool, snapshot_s: Option<f64>) -> FleetConfig {
+pub fn smoke_config_obs(
+    exact: bool,
+    record: bool,
+    snapshot_s: Option<f64>,
+) -> Result<FleetConfig, String> {
     let mut d = Deployment::new()
         .street(200.0, 30.0)
         .cell_row(2, 80.0)
@@ -671,7 +685,7 @@ pub fn smoke_config_obs(exact: bool, record: bool, snapshot_s: Option<f64>) -> F
     if let Some(s) = snapshot_s {
         d = d.snapshot_interval_secs(s);
     }
-    d.build().expect("valid smoke fleet")
+    d.build()
 }
 
 pub fn smoke(workers: usize, exact: bool) -> String {
@@ -683,7 +697,7 @@ pub fn smoke(workers: usize, exact: bool) -> String {
 /// code path as the full sweep. The returned summary string is identical
 /// to [`smoke`]'s (the byte-compare contract).
 pub fn smoke_timed(workers: usize, exact: bool, record: bool) -> (String, FleetLoad) {
-    smoke_timed_obs(workers, exact, record, None)
+    smoke_timed_obs(workers, exact, record, None).expect("valid smoke fleet")
 }
 
 /// [`smoke_timed`] with the snapshot timeline optionally armed — the
@@ -693,8 +707,8 @@ pub fn smoke_timed_obs(
     exact: bool,
     record: bool,
     snapshot_s: Option<f64>,
-) -> (String, FleetLoad) {
-    let cfg = smoke_config_obs(exact, record, snapshot_s);
+) -> Result<(String, FleetLoad), String> {
+    let cfg = smoke_config_obs(exact, record, snapshot_s)?;
     let ues = cfg.n_ues();
     let start = Instant::now();
     let mut outcome = run_fleet_with_workers(&cfg, workers);
@@ -712,7 +726,7 @@ pub fn smoke_timed_obs(
         }],
         replay: Vec::new(),
     };
-    (summary, load)
+    Ok((summary, load))
 }
 
 #[cfg(test)]
@@ -722,6 +736,18 @@ mod tests {
     #[test]
     fn smoke_is_worker_invariant() {
         assert_eq!(smoke(1, false), smoke(4, false));
+    }
+
+    #[test]
+    fn invalid_configurations_are_errors_not_panics() {
+        let err = run_obs(&[0], 42, 1, false, false, None).unwrap_err();
+        assert!(err.contains("at least one UE"), "{err}");
+        // Nothing runs when a later point is invalid either.
+        assert!(run_obs(&[24, 0], 42, 1, false, false, None).is_err());
+        let err = run_scale_point(0, ShardStrategy::Tiles, Some(150.0), true, 1, 42).unwrap_err();
+        assert!(err.contains("at least one UE"), "{err}");
+        let err = smoke_timed_obs(1, false, false, Some(1e-12)).unwrap_err();
+        assert!(err.contains("snapshot interval"), "{err}");
     }
 
     #[test]
@@ -769,8 +795,8 @@ mod tests {
 
     #[test]
     fn smoke_timeline_json_is_worker_invariant() {
-        let (sa, a) = smoke_timed_obs(1, false, false, Some(0.25));
-        let (sb, b) = smoke_timed_obs(4, false, false, Some(0.25));
+        let (sa, a) = smoke_timed_obs(1, false, false, Some(0.25)).unwrap();
+        let (sb, b) = smoke_timed_obs(4, false, false, Some(0.25)).unwrap();
         // Arming snapshots never perturbs the aggregate summary…
         assert_eq!(sa, smoke(1, false));
         assert_eq!(sa, sb);

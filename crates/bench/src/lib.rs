@@ -31,6 +31,18 @@ pub mod runner;
 
 use st_fleet::FleetOutcome;
 
+/// The parsed value that follows `flag` on a command line. `Err` says
+/// what is missing or malformed; the binaries print it with their usage
+/// and exit with code 2.
+pub fn flag_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let raw = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse()
+        .map_err(|_| format!("bad value `{raw}` for {flag}"))
+}
+
 /// Refuse truncated results: `Err` names every labelled fleet whose
 /// shards ran out of their DES event budget — its metrics would cover
 /// only part of the run.
@@ -54,5 +66,24 @@ pub fn check_budgets<'a>(
             "truncated runs, metrics withheld: {}",
             exhausted.join(", ")
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flag_values_parse_or_say_why_not() {
+        let mut args = ["4", "x"].map(String::from).into_iter();
+        assert_eq!(flag_value::<usize>(&mut args, "--workers"), Ok(4));
+        assert_eq!(
+            flag_value::<usize>(&mut args, "--workers"),
+            Err("bad value `x` for --workers".to_string())
+        );
+        assert_eq!(
+            flag_value::<usize>(&mut args, "--workers"),
+            Err("--workers needs a value".to_string())
+        );
     }
 }

@@ -39,6 +39,18 @@ pub fn knife_edge_excess_db(v: f64) -> f64 {
 /// (the cheapest way around in the azimuth plane), capped by the
 /// through-body absorption `cap`.
 pub fn leg_occlusion(p: Vec2, q: Vec2, seg: Segment, cap: Db, lambda_m: f64) -> Db {
+    // A crossing lies on both segments, so inside both bounding boxes.
+    // For nearly collinear segments `Segment::intersect` is badly
+    // conditioned and can report a crossing of segments whose boxes are
+    // apart; such a pair is clear. (This also makes a box cull in front
+    // of this test exact.)
+    if seg.a.x.max(seg.b.x) < p.x.min(q.x)
+        || p.x.max(q.x) < seg.a.x.min(seg.b.x)
+        || seg.a.y.max(seg.b.y) < p.y.min(q.y)
+        || p.y.max(q.y) < seg.a.y.min(seg.b.y)
+    {
+        return Db::ZERO;
+    }
     let Some((_, x)) = seg.intersect(p, q) else {
         return Db::ZERO;
     };
@@ -153,6 +165,22 @@ mod tests {
         );
         assert!(loss.0 > 6.0, "{loss}");
         assert!(loss.0 < 25.0, "{loss}");
+    }
+
+    #[test]
+    fn nearly_collinear_pair_with_boxes_apart_is_clear() {
+        // A blocker on the extension of the leg, 0.35 µm past its end
+        // and turned by 5e-10 rad: `intersect` reports a crossing its
+        // rounding made up; the boxes are apart, so there is none.
+        let p = Vec2::new(69.65163730379345, 13.99560032789747);
+        let q = Vec2::new(-79.73718359318474, 6.797374238963556);
+        let seg = Segment::new(
+            Vec2::new(-81.2132124331821, 6.726252523700346),
+            Vec2::new(-79.73718394324732, 6.797374222095965),
+        );
+        assert!(seg.intersect(p, q).is_some());
+        let loss = leg_occlusion(p, q, seg, Db(31.0), LAMBDA_60GHZ);
+        assert_eq!(loss, Db::ZERO);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! 1. trace the link once per (instant, position) into its reusable
 //!    [`PathSet`] against the *static* walls ([`DynamicEnvironment::statics`]);
 //! 2. call [`DynamicEnvironment::occlude`] on the snapshot — every ray
-//!    leg is tested against the blockers near the link at that instant
-//!    and knife-edge losses are folded into the sample gains in place.
+//!    leg is tested against the blockers near it at that instant and
+//!    knife-edge losses are folded into the sample gains in place.
 //!
 //! The pass is zero-allocation in steady state (the frame scratch is
-//! caller-owned and sized once to the blocker count), consumes no RNG
-//! draws, and is a pure function of time — so occluded runs remain
+//! caller-owned and sized at placement to the blocker count), consumes
+//! no RNG draws, and is a pure function of time — so occluded runs remain
 //! bit-identical across shard and worker counts.
 //!
 //! ## The per-instant frame
@@ -20,11 +20,28 @@
 //! SSB burst), and every one of them sees the same blocker positions.
 //! The caller-owned [`OcclusionScratch`] is therefore a *frame*: the
 //! first `occlude` at a new instant places every blocker once — its
-//! segment, bounding box and loss cap — and every later call at the same
-//! instant only filters the frame against its link's ray hull. The frame
-//! is keyed on the environment's identity and the bits of the instant,
-//! so a scratch shared across environments or instants never serves a
-//! stale placement.
+//! segment, bounding box (padded by 1e-9 m) and loss cap — and every
+//! later call at the same instant only searches the frame. The frame is
+//! keyed on the environment's identity and the bits of the instant, so a
+//! scratch shared across environments or instants never serves a stale
+//! placement.
+//!
+//! Placement also sorts the blocker indices by box `min.x` (ties by
+//! blocker index) and records the widest box x-extent. Blockers move
+//! little between instants, so the sort starts from the previous frame's
+//! order and an insertion sort runs in about linear time. A query then
+//! searches each ray leg on its own: a binary search finds the first
+//! blocker whose `min.x` is within the widest extent left of the leg's
+//! box, a scan up to the leg's `max.x` keeps the blockers whose box
+//! overlaps the leg's box, and only those reach the exact
+//! [`leg_occlusion`] test.
+//!
+//! The search visits blockers in x order, but a ray's loss is summed in
+//! blocker order, then leg order — the order of a plain loop over every
+//! blocker and every leg. The nonzero losses of a ray are recorded with
+//! their (blocker, leg) and sorted before they are added; a skipped
+//! pair contributes exactly [`Db::ZERO`] to that loop, and adding zero is
+//! exact, so the gains are bit-identical to testing every pair.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -44,16 +61,10 @@ struct Aabb {
 
 impl Aabb {
     fn of_segment(s: Segment) -> Aabb {
-        let mut bb = Aabb { min: s.a, max: s.a };
-        bb.grow(s.b);
-        bb
-    }
-
-    fn grow(&mut self, p: Vec2) {
-        self.min.x = self.min.x.min(p.x);
-        self.min.y = self.min.y.min(p.y);
-        self.max.x = self.max.x.max(p.x);
-        self.max.y = self.max.y.max(p.y);
+        Aabb {
+            min: Vec2::new(s.a.x.min(s.b.x), s.a.y.min(s.b.y)),
+            max: Vec2::new(s.a.x.max(s.b.x), s.a.y.max(s.b.y)),
+        }
     }
 
     fn pad(&mut self, r: f64) {
@@ -62,37 +73,63 @@ impl Aabb {
         self.max.x += r;
         self.max.y += r;
     }
-
-    fn overlaps(&self, other: &Aabb) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
-    }
 }
 
-/// A blocker placed at the frame's instant: its exact segment, the
-/// segment's bounding box and its through-body loss cap.
+/// A blocker placed at the frame's instant: its index, its exact
+/// segment, the segment's padded bounding box and its through-body loss
+/// cap.
 #[derive(Debug, Clone, Copy)]
 struct Placed {
+    blocker: u32,
     seg: Segment,
     bounds: Aabb,
     cap: Db,
 }
 
+impl Placed {
+    /// The frame's sort order: box `min.x`, ties by blocker index.
+    fn precedes(&self, other: &Placed) -> bool {
+        self.bounds
+            .min
+            .x
+            .total_cmp(&other.bounds.min.x)
+            .then(self.blocker.cmp(&other.blocker))
+            .is_lt()
+    }
+}
+
+/// A nonzero loss found by the search of the current ray: the blocker,
+/// the leg (0: from tx, 1: to rx) and the loss.
+type Hit = (u32, u8, Db);
+
 /// Caller-owned frame for [`DynamicEnvironment::occlude`]: every blocker
-/// placed at one instant of one environment, plus the candidate buffer of
-/// the current query. Whoever owns the instant owns the scratch (a fleet
-/// shard keeps one for all its UEs), so every link measured at that
-/// instant reuses one placement; steady-state occlusion allocates nothing.
+/// placed at one instant of one environment, sorted by box `min.x`, and
+/// the buffers of the current query. Whoever owns the instant owns the
+/// scratch (a fleet shard keeps one for all its UEs), so every link
+/// measured at that instant reuses one placement; every buffer is sized
+/// at placement, so steady-state occlusion allocates nothing.
 #[derive(Debug, Default)]
 pub struct OcclusionScratch {
     /// (environment id, `t_s` bits) the frame was placed for.
     key: Option<(u64, u64)>,
+    /// The placed blockers, sorted by [`Placed::precedes`]. The next
+    /// placement re-places them in this order and sorts from it.
     frame: Vec<Placed>,
-    candidates: Vec<(Segment, Db)>,
+    /// The frame's boxes, one array per bound, in frame order.
+    min_x: Vec<f64>,
+    max_x: Vec<f64>,
+    min_y: Vec<f64>,
+    max_y: Vec<f64>,
+    /// The widest box x-extent of the frame.
+    widest: f64,
+    /// The widest box extent along either axis.
+    reach: f64,
+    /// Frame positions of the blockers that pass a leg's filters.
+    survivors: Vec<u32>,
+    hits: Vec<Hit>,
     occlusions: u64,
     blockers_placed: u64,
+    leg_tests: u64,
 }
 
 impl OcclusionScratch {
@@ -111,6 +148,166 @@ impl OcclusionScratch {
     pub fn blockers_placed(&self) -> u64 {
         self.blockers_placed
     }
+
+    /// Exact [`leg_occlusion`] tests run by this scratch's searches: the
+    /// (blocker, leg) pairs that pass the box and side filters.
+    pub fn leg_tests(&self) -> u64 {
+        self.leg_tests
+    }
+
+    /// Re-place the frame's blockers at `t_s`, sort them, and size the
+    /// query buffers. The sort is an insertion sort from the previous
+    /// frame's order: blockers move little between instants, so it runs
+    /// in about linear time, and it allocates nothing.
+    fn place(&mut self, blockers: &[Blocker], t_s: f64) {
+        let n = blockers.len();
+        let place = |blocker: u32| {
+            let b = &blockers[blocker as usize];
+            let seg = b.segment_at(t_s);
+            let mut bounds = Aabb::of_segment(seg);
+            bounds.pad(1e-9);
+            Placed {
+                blocker,
+                seg,
+                bounds,
+                cap: b.shadow_cap(),
+            }
+        };
+        if self.frame.len() == n {
+            for placed in &mut self.frame {
+                *placed = place(placed.blocker);
+            }
+        } else {
+            // First frame, or another environment's: start in blocker
+            // order. (Any order of this many blockers would do.)
+            self.frame.clear();
+            self.frame.extend((0..n as u32).map(place));
+        }
+        for k in 1..n {
+            let moving = self.frame[k];
+            let mut j = k;
+            while j > 0 && moving.precedes(&self.frame[j - 1]) {
+                self.frame[j] = self.frame[j - 1];
+                j -= 1;
+            }
+            self.frame[j] = moving;
+        }
+        self.min_x.clear();
+        self.max_x.clear();
+        self.min_y.clear();
+        self.max_y.clear();
+        let (mut widest, mut tallest) = (0.0f64, 0.0f64);
+        for b in self.frame.iter().map(|p| p.bounds) {
+            self.min_x.push(b.min.x);
+            self.max_x.push(b.max.x);
+            self.min_y.push(b.min.y);
+            self.max_y.push(b.max.y);
+            widest = widest.max(b.max.x - b.min.x);
+            tallest = tallest.max(b.max.y - b.min.y);
+        }
+        self.widest = widest;
+        self.reach = widest.max(tallest);
+        self.survivors.clear();
+        self.survivors.resize(n, 0);
+        self.hits.reserve(2 * n);
+    }
+
+    /// Record in `hits` the nonzero loss of every placed blocker on the
+    /// leg `p → q` (numbered `leg`). Only the blockers whose padded box
+    /// overlaps the leg's box and whose segment is not strictly on one
+    /// side of the leg's line reach the exact [`leg_occlusion`] test.
+    ///
+    /// Neither filter drops a nonzero loss. [`leg_occlusion`] is exactly
+    /// zero for a pair whose boxes are apart, and a padded box contains
+    /// the exact one. The window's lower edge `min.x − widest` can be a
+    /// few ulps tight; a blocker it drops still ends about the pad
+    /// (1e-9 m, far above the ulps of coordinates below 10⁵ m) short of
+    /// the leg's `min.x`. The side filter is proven in [`side_bound`].
+    fn search_leg(&mut self, p: Vec2, q: Vec2, leg: u8, lambda_m: f64) {
+        let bb = Aabb::of_segment(Segment::new(p, q));
+        let start = bb.min.x - self.widest;
+        let lo = self.min_x.partition_point(|&x| x < start);
+        let hi = lo + self.min_x[lo..].partition_point(|&x| x <= bb.max.x);
+        // Branch-free box filter over the window: every slot is written,
+        // the count only advances past survivors.
+        let mut found = 0;
+        for (k, (&max_x, (&min_y, &max_y))) in self.max_x[lo..hi]
+            .iter()
+            .zip(self.min_y[lo..hi].iter().zip(&self.max_y[lo..hi]))
+            .enumerate()
+        {
+            self.survivors[found] = (lo + k) as u32;
+            found += usize::from((max_x >= bb.min.x) & (min_y <= bb.max.y) & (max_y >= bb.min.y));
+        }
+        // Then a branch-free side filter, compacting in place. `s` and
+        // the side values are computed exactly as `Segment::intersect`
+        // computes its direction and numerator.
+        let s = q - p;
+        let bound = side_bound(s, self.reach);
+        let mut straddling = 0;
+        for i in 0..found {
+            let k = self.survivors[i];
+            let seg = self.frame[k as usize].seg;
+            let side_a = (p - seg.a).cross(s);
+            let side_b = (p - seg.b).cross(s);
+            let clear = (side_a > bound) & (side_b > bound) | (side_a < -bound) & (side_b < -bound);
+            self.survivors[straddling] = k;
+            straddling += usize::from(!clear);
+        }
+        self.leg_tests += straddling as u64;
+        for &k in &self.survivors[..straddling] {
+            let placed = self.frame[k as usize];
+            let loss = leg_occlusion(p, q, placed.seg, placed.cap, lambda_m);
+            if loss != Db::ZERO {
+                self.hits.push((placed.blocker, leg, loss));
+            }
+        }
+    }
+
+    /// The sum of the recorded losses in (blocker, leg) order; clears
+    /// them.
+    fn take_loss(&mut self) -> Db {
+        self.hits
+            .sort_unstable_by_key(|&(blocker, leg, _)| (blocker, leg));
+        let loss = self
+            .hits
+            .iter()
+            .fold(Db::ZERO, |acc, &(_, _, loss)| acc + loss);
+        self.hits.clear();
+        loss
+    }
+}
+
+/// The margin beyond which a blocker segment `a → b` whose box
+/// overlaps the box of the leg `p → q` (with `s = q − p`) is certainly
+/// clear of the leg when its side values `A = (p − a) × s` and
+/// `B = (p − b) × s`, as computed, both exceed it with one sign.
+/// `reach` bounds every box extent of the frame, along either axis.
+///
+/// `Segment::intersect(p, q)` on the blocker reports a crossing only if
+/// its computed `t = A / D` lies in [0, 1], where `D = (b − a) × s` and
+/// `A` is computed exactly as here. With `u = ε/2` the unit roundoff,
+/// each of the three computed cross products is off its exact value by
+/// at most `γ₃·(|v.x·s.y| + |v.y·s.x|)`, `γ₃ = 3u/(1 − 3u)`, counting
+/// the rounding of its difference vector `v`. The boxes overlap, so
+/// `|p − a|∞, |p − b|∞ ≤ |s|∞ + reach` and `|b − a|∞ ≤ reach`: the three
+/// errors sum to `E ≤ γ₃·|s|₁·(2|s|∞ + 3·reach)`, and the computed
+/// `A ≤ (1 + γ₃)·|s|₁·(|s|∞ + reach)`.
+///
+/// Let `T` be the margin returned and take computed `A, B > T` (the
+/// negative case is the mirror image). Exactly, `D = A − B`, so the
+/// computed `D ≤ A − B + E`. If `D ≤ 0`, `t` is negative or the near-zero
+/// denominator is refused. Otherwise `A − D ≥ B − E > T − E`, and
+/// `T ≥ E·(1 + ε) + ε·A` gives `A − D > ε·(A + E) > ε·D`, so `A / D`
+/// exceeds `1 + ε` and its rounding stays above one. Either way
+/// [`leg_occlusion`] returns exactly zero. The condition on `T` asks for
+/// at most `2.02·ε·|s|₁·(2|s|∞ + 3·reach)`; `T` is about four times that
+/// (`|s|∞ ≤ |s|₁`), which also covers its own rounding and the ulps by
+/// which box extents and `s` differ from exact. NaN compares above no
+/// margin, so a NaN side value always goes to the exact test.
+fn side_bound(s: Vec2, reach: f64) -> f64 {
+    let l1 = s.x.abs() + s.y.abs();
+    8.0 * f64::EPSILON * l1 * (2.0 * l1 + 3.0 * reach)
 }
 
 /// Source of [`DynamicEnvironment`] identities (frame keys).
@@ -163,24 +360,14 @@ impl DynamicEnvironment {
         &self.blockers
     }
 
-    /// Place every blocker at `t_s` into `scratch`'s frame, in blocker
-    /// order, unless the frame already holds this environment at `t_s`.
+    /// Place every blocker at `t_s` into `scratch`'s frame, unless the
+    /// frame already holds this environment at `t_s`.
     fn place(&self, t_s: f64, scratch: &mut OcclusionScratch) {
         let key = Some((self.id, t_s.to_bits()));
         if scratch.key == key {
             return;
         }
-        scratch.frame.clear();
-        scratch.frame.extend(self.blockers.iter().map(|b| {
-            let seg = b.segment_at(t_s);
-            let mut bounds = Aabb::of_segment(seg);
-            bounds.pad(1e-9);
-            Placed {
-                seg,
-                bounds,
-                cap: b.shadow_cap(),
-            }
-        }));
+        scratch.place(&self.blockers, t_s);
         scratch.key = key;
         scratch.blockers_placed += self.blockers.len() as u64;
     }
@@ -188,13 +375,13 @@ impl DynamicEnvironment {
     /// Fold the occlusion losses of the blockers at `t_s` into an
     /// already-traced snapshot of the link `tx → rx`.
     ///
-    /// Every ray is tested leg-by-leg (direct ray: one leg; reflected
-    /// ray: tx→bounce and bounce→rx) against the blockers whose box
-    /// overlaps the ray hull, in blocker order; a crossing adds the
-    /// knife-edge loss of [`crate::leg_occlusion`]. A blocker clear of
-    /// every leg contributes exactly zero — the sample gains stay
-    /// bit-identical, which is what keeps opt-out scenarios (and clear
-    /// instants of opt-in ones) byte-stable.
+    /// Every ray is searched leg by leg (direct ray: one leg; reflected
+    /// ray: tx→bounce and bounce→rx) for the blockers whose box overlaps
+    /// the leg's; a crossing adds the knife-edge loss of
+    /// [`crate::leg_occlusion`], summed in blocker order, then leg order.
+    /// A blocker clear of every leg contributes exactly zero — the sample
+    /// gains stay bit-identical, which is what keeps opt-out scenarios
+    /// (and clear instants of opt-in ones) byte-stable.
     pub fn occlude(
         &self,
         t_s: f64,
@@ -208,39 +395,16 @@ impl DynamicEnvironment {
             return;
         }
         self.place(t_s, scratch);
-        // The ray hull: every leg endpoint is tx, rx or a bounce point.
-        let mut hull = Aabb::of_segment(Segment::new(tx, rx));
-        for ray in set.rays() {
-            if let Some(v) = ray.via {
-                hull.grow(v);
-            }
-        }
-        let OcclusionScratch {
-            frame, candidates, ..
-        } = scratch;
-        candidates.clear();
-        candidates.extend(
-            frame
-                .iter()
-                .filter(|p| p.bounds.overlaps(&hull))
-                .map(|p| (p.seg, p.cap)),
-        );
-        if candidates.is_empty() {
-            return;
-        }
         let lambda = self.lambda_m;
         set.attenuate(|ray| {
-            let mut loss = Db::ZERO;
-            for &(seg, cap) in candidates.iter() {
-                match ray.via {
-                    None => loss += leg_occlusion(tx, rx, seg, cap, lambda),
-                    Some(bounce) => {
-                        loss += leg_occlusion(tx, bounce, seg, cap, lambda);
-                        loss += leg_occlusion(bounce, rx, seg, cap, lambda);
-                    }
+            match ray.via {
+                None => scratch.search_leg(tx, rx, 0, lambda),
+                Some(bounce) => {
+                    scratch.search_leg(tx, bounce, 0, lambda);
+                    scratch.search_leg(bounce, rx, 1, lambda);
                 }
             }
-            loss
+            scratch.take_loss()
         });
     }
 
@@ -272,7 +436,7 @@ mod tests {
             .with_orientation(Orientation::Fixed(Radians(std::f64::consts::FRAC_PI_2)))
     }
 
-    /// The loss the frame's candidates inflict on the bare direct path
+    /// The loss the frame's search finds on the bare direct path
     /// `tx → rx` at `t_s`, through `scratch`.
     fn frame_los_loss(
         env: &DynamicEnvironment,
@@ -282,13 +446,8 @@ mod tests {
         scratch: &mut OcclusionScratch,
     ) -> Db {
         env.place(t_s, scratch);
-        let hull = Aabb::of_segment(Segment::new(tx, rx));
-        scratch
-            .frame
-            .iter()
-            .filter(|p| p.bounds.overlaps(&hull))
-            .map(|p| leg_occlusion(tx, rx, p.seg, p.cap, env.lambda_m))
-            .fold(Db::ZERO, |a, b| a + b)
+        scratch.search_leg(tx, rx, 0, env.lambda_m);
+        scratch.take_loss()
     }
 
     #[test]
@@ -360,6 +519,38 @@ mod tests {
         let placed = shared.blockers_placed();
         frame_los_loss(&b, t, tx, rx, &mut shared);
         assert_eq!(shared.blockers_placed(), placed);
+    }
+
+    #[test]
+    fn frame_is_sorted_by_min_x_then_blocker_index() {
+        let sorted = |scratch: &OcclusionScratch| {
+            scratch.frame.windows(2).all(|w| w[0].precedes(&w[1]))
+                && scratch
+                    .frame
+                    .iter()
+                    .zip(&scratch.min_x)
+                    .all(|(p, &x)| p.bounds.min.x == x)
+        };
+        // Ties at x = 3 and x = -1 are broken by blocker index.
+        let xs = [3.0, -1.0, 3.0, 7.5, -1.0, 0.0];
+        let a = DynamicEnvironment::new(
+            Environment::open(),
+            xs.iter().map(|&x| standing_at(x, 0.0)).collect(),
+            carrier(),
+        );
+        let b = DynamicEnvironment::new(
+            Environment::open(),
+            xs.iter().rev().map(|&x| standing_at(-x, 1.0)).collect(),
+            carrier(),
+        );
+        let mut scratch = OcclusionScratch::new();
+        a.place(0.0, &mut scratch);
+        assert!(sorted(&scratch));
+        let order: Vec<u32> = scratch.frame.iter().map(|p| p.blocker).collect();
+        assert_eq!(order, [1, 4, 5, 0, 2, 3]);
+        // Another environment of the same size sorts from this order.
+        b.place(0.0, &mut scratch);
+        assert!(sorted(&scratch));
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //!   (walls) with a blocker set, and applies a per-instant occlusion
 //!   pass over an already-traced [`st_phy::channel::PathSet`] with zero
 //!   steady-state allocation. The caller-owned [`OcclusionScratch`] is a
-//!   per-instant *frame*: every blocker is placed once per instant, and
-//!   every link measured at that instant reuses the placement.
+//!   per-instant *frame*: every blocker is placed once per instant into
+//!   an x-sorted index, and every link measured at that instant searches
+//!   it leg by leg, running the exact test only on blockers that can
+//!   cross the leg.
 //! * [`scenarios`] — an urban scenario library (crowd crossings, bus
 //!   routes, mixed street traffic) built declaratively from a seed.
 //!

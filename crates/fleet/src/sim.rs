@@ -1615,6 +1615,7 @@ impl FleetWorld {
         profile
             .counters
             .add("env.blockers_placed", self.occl.blockers_placed());
+        profile.counters.add("env.leg_tests", self.occl.leg_tests());
         profile.counters.add("des.events_popped", events);
         profile
             .counters

@@ -15,7 +15,7 @@
 //! * [`st_fleet`] — multi-UE, multi-cell fleet simulation with real RACH
 //!   contention and sharded parallel execution.
 //! * [`st_des`] — the deterministic discrete-event engine.
-//! * [`st_metrics`] — CDFs, histograms, summary statistics.
+//! * [`st_metrics`] — CDFs, quantile sketches, summary statistics.
 //! * [`st_bench`] — the figure-regeneration experiment harness.
 
 pub use silent_tracker;

@@ -12,7 +12,7 @@
 //!   blockers are pinned, so a faster occlusion pass or channel kernel
 //!   cannot silently change what is simulated;
 //! * each shard places the blocker field once per instant, not once per
-//!   measured link.
+//!   measured link, and its exact-test count is worker-invariant.
 
 use silent_tracker_repro::silent_tracker::wire::Fnv64;
 use silent_tracker_repro::st_env::BlockerPopulation;
@@ -166,10 +166,14 @@ fn shards_place_each_instant_once() {
     let four = run_fleet_with_workers(&cfg, 4);
     let counters = |out: &silent_tracker_repro::st_fleet::FleetOutcome| {
         let c = &out.profile().counters;
-        (c.get("env.occlusions"), c.get("env.blockers_placed"))
+        (
+            c.get("env.occlusions"),
+            c.get("env.blockers_placed"),
+            c.get("env.leg_tests"),
+        )
     };
-    let (occlusions, placed) = counters(&one);
-    assert_eq!((occlusions, placed), counters(&four));
+    let (occlusions, placed, leg_tests) = counters(&one);
+    assert_eq!((occlusions, placed, leg_tests), counters(&four));
     // Every traced snapshot runs the occlusion pass once.
     assert_eq!(occlusions, one.profile().counters.get("phy.traces_cast"));
     // A frame serves every UE of its shard measured at that instant:
@@ -180,5 +184,13 @@ fn shards_place_each_instant_once() {
     assert!(
         per_occlusion < blockers / 10.0,
         "{placed} placed over {occlusions} occlusions ({per_occlusion:.2})"
+    );
+    // The per-leg search runs the exact test on far fewer pairs than
+    // every (blocker, leg) of every ray, yet on some: blockers do cross
+    // the links.
+    assert!(leg_tests > 0);
+    assert!(
+        (leg_tests as f64) < blockers * occlusions as f64,
+        "{leg_tests} exact tests over {occlusions} occlusions"
     );
 }
